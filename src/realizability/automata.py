@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 State = Any
 Symbol = str
@@ -239,25 +239,34 @@ def relabel_bfs(a: Dfa, prefix: str = "q", start: int = 1) -> Dfa:
     )
 
 
+def explore(
+    alphabet: Alphabet, initial: State, step: Callable[[State, Symbol], State]
+) -> tuple[tuple[State, ...], dict[tuple[State, Symbol], State]]:
+    """Reachable part of a deterministic automaton given by its step function.
+
+    Breadth-first from ``initial``, expanding symbols in alphabet order;
+    returns the states in discovery order and the transition table on them.
+    """
+    order = [initial]
+    seen = {initial}
+    delta: dict[tuple[State, Symbol], State] = {}
+    for current in order:  # appending while iterating makes the list a FIFO queue
+        for s in alphabet:
+            target = delta[current, s] = step(current, s)
+            if target not in seen:
+                seen.add(target)
+                order.append(target)
+    return tuple(order), delta
+
+
 def _product(a: Dfa, b: Dfa, accept) -> Dfa:
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError("product of automata over different alphabets")
+    da, db = a.delta, b.delta
     initial = (a.initial, b.initial)
-    seen = {initial}
-    order = [initial]
-    queue = deque([initial])
-    delta: dict[tuple[State, Symbol], State] = {}
-    while queue:
-        (p, q) = queue.popleft()
-        for s in a.alphabet:
-            r = (a.delta[(p, s)], b.delta[(q, s)])
-            delta[((p, q), s)] = r
-            if r not in seen:
-                seen.add(r)
-                order.append(r)
-                queue.append(r)
+    order, delta = explore(a.alphabet, initial, lambda pq, s: (da[pq[0], s], db[pq[1], s]))
     accepting = frozenset((p, q) for (p, q) in order if accept(p in a.accepting, q in b.accepting))
-    return Dfa(a.alphabet, tuple(order), delta, initial, accepting)
+    return Dfa(a.alphabet, order, delta, initial, accepting)
 
 
 def intersect(a: Dfa, b: Dfa) -> Dfa:
@@ -369,28 +378,29 @@ def sigma_star_prefix(a: Automaton) -> Nfa:
     return concatenate(sigma_star(alph), a)
 
 
-def determinize(n: Nfa) -> Dfa:
-    """Subset construction restricted to reachable subsets; the empty subset is the sink."""
-    initial = n.initials
+def _subset_step(n: Nfa) -> Callable[[frozenset[State], Symbol], frozenset[State]]:
+    """Successor of a state set of ``n`` on one symbol."""
     by_symbol: dict[Symbol, dict[State, set[State]]] = {s: {} for s in n.alphabet}
     for (p, s, q) in n.transitions:
         by_symbol[s].setdefault(p, set()).add(q)
-    seen = {initial}
-    order = [initial]
-    queue = deque([initial])
-    delta: dict[tuple[State, Symbol], State] = {}
-    while queue:
-        current = queue.popleft()
-        for s in n.alphabet:
-            step = by_symbol[s]
-            target = frozenset(q for p in current for q in step.get(p, ()))
-            delta[(current, s)] = target
-            if target not in seen:
-                seen.add(target)
-                order.append(target)
-                queue.append(target)
+
+    def step(current: frozenset[State], s: Symbol) -> frozenset[State]:
+        m = by_symbol[s]
+        return frozenset(q for p in current for q in m.get(p, ()))
+
+    return step
+
+
+def determinize(n: Nfa) -> Dfa:
+    """Subset construction restricted to reachable subsets; the empty subset is the sink."""
+    order, delta = explore(n.alphabet, n.initials, _subset_step(n))
     accepting = frozenset(S for S in order if S & n.accepting)
-    return Dfa(n.alphabet, tuple(order), delta, initial, accepting)
+    return Dfa(n.alphabet, order, delta, n.initials, accepting)
+
+
+def as_dfa(a: Automaton) -> Dfa:
+    """``a`` itself when deterministic, else its subset construction."""
+    return a if isinstance(a, Dfa) else determinize(a)
 
 
 def shortlex_smallest(a: Automaton) -> Word | None:
@@ -402,13 +412,7 @@ def shortlex_smallest(a: Automaton) -> Word | None:
     if isinstance(a, Nfa):
         start: Any = a.initials
         is_accepting = lambda S: bool(S & a.accepting)
-        by_symbol: dict[Symbol, dict[State, set[State]]] = {s: {} for s in a.alphabet}
-        for (p, s, q) in a.transitions:
-            by_symbol[s].setdefault(p, set()).add(q)
-
-        def step(S, s):
-            m = by_symbol[s]
-            return frozenset(q for p in S for q in m.get(p, ()))
+        step = _subset_step(a)
     else:
         start = a.initial
         is_accepting = lambda q: q in a.accepting
@@ -433,6 +437,11 @@ def shortlex_smallest(a: Automaton) -> Word | None:
 
 def is_empty(a: Automaton) -> bool:
     return shortlex_smallest(a) is None
+
+
+def meets(r: Automaton, d: Dfa) -> bool:
+    """Does L(r) intersect L(d)?  Product emptiness, determinizing ``r`` if needed."""
+    return not is_empty(intersect(as_dfa(r), d))
 
 
 def equivalent(a: Dfa, b: Dfa) -> bool:
@@ -466,9 +475,6 @@ def regex_dfa(pattern: str, alphabet: Alphabet) -> Dfa:
         c = pattern[pos]
         pos += 1
         return c
-
-    def as_dfa(a: Automaton) -> Dfa:
-        return a if isinstance(a, Dfa) else determinize(a)
 
     def parse_expr() -> Dfa:
         branches = [parse_term()]

@@ -39,24 +39,25 @@ from .automata import (
     AlphabetMismatchError,
     Automaton,
     Dfa,
-    Nfa,
     State,
     Symbol,
     Word,
+    as_dfa,
     as_word,
     concatenate,
     dead_lock_states,
     determinize,
     intersect,
-    is_empty,
     literal_dfa,
+    meets,
     relabel_bfs,
     shortlex_smallest,
     with_initial,
 )
-from .decide import Fuel, NO, Outcome, Verdict, YES
+from .decide import Fuel, FuelExhausted, NO, Outcome, Verdict, _resolve
 from .effective import decide_prefix_morphism
 from .omega import absorbing_accepting
+from .textio import _tokenized
 from .words import (
     EffectiveMorphism,
     IndexedInfiniteWord,
@@ -95,7 +96,7 @@ class FilterLanguage:
         # so enumeration can fail loudly instead of scanning forever.
         pump = len(d.states)
         long_words = _min_length_dfa(d.alphabet, pump)
-        finite = is_empty(intersect(d, long_words))
+        finite = not meets(long_words, d)
 
         def extend_to(i: int) -> None:
             from itertools import product
@@ -114,11 +115,7 @@ class FilterLanguage:
             extend_to(i)
             return cache[i - 1]
 
-        def rr(r: Automaton) -> bool:
-            other = determinize(r) if isinstance(r, Nfa) else r
-            return not is_empty(intersect(other, d))
-
-        return cls(d.alphabet, lambda w: d.accepts(as_word(w)), enumeration, rr)
+        return cls(d.alphabet, lambda w: d.accepts(as_word(w)), enumeration, lambda r: meets(r, d))
 
 
 def _min_length_dfa(alphabet: Alphabet, n: int) -> Dfa:
@@ -149,7 +146,7 @@ def filter_to_word(
     def oracle(r: Automaton) -> bool:
         if lang.rr is None:
             raise ValueError("filter language carries no rr decider")
-        d = determinize(r) if isinstance(r, Nfa) else r
+        d = as_dfa(r)
         accepting = frozenset(q for q in d.states if d.delta[(q, hash_symbol)] in d.accepting)
         delta = {(q, s): d.delta[(q, s)] for q in d.states for s in lang.alphabet}
         stripped = Dfa(lang.alphabet, d.states, delta, d.initial, accepting)
@@ -408,13 +405,7 @@ def parse_machines(text: str) -> MachineList:
         machines.append(_MachineSim(current_start, current_rules))
         current_rules, current_start = None, None
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, rest = line.partition(":")
-        key = key.strip()
-        tokens = rest.split()
+    for line_no, key, tokens in _tokenized(text, lambda n, msg: ValueError(f"line {n}: {msg}")):
         if key == "machine":
             flush(line_no)
             names.append(tokens[0] if tokens else f"m{len(names) + 1}")
@@ -562,20 +553,5 @@ def decide_prefix_theorem1(a: Dfa, machines: MachineList, word: Theorem1Word | N
     w = word if word is not None else theorem1_word(machines)
     index = encode_dfa(a)
     stage = w.ensure_stage(index)
-    prefix = w.prefix(stage.end)
-
-    dead = dead_lock_states(a)
-    q = a.initial
-    if q in a.accepting:
-        return Verdict(YES, 0, 0)
-    if q in dead:
-        return Verdict(NO, 0, 0)
-    n = 0
-    for s in prefix:
-        n += 1
-        q = a.delta[(q, s)]
-        if q in a.accepting:
-            return Verdict(YES, n, n)
-        if q in dead:
-            return Verdict(NO, n, n)
-    return Verdict(NO, stage.end, stage.end)
+    outcome = _resolve(a.delta, a.initial, w.prefix(stage.end), a.accepting, dead_lock_states(a))
+    return Verdict(NO, stage.end, stage.end) if isinstance(outcome, FuelExhausted) else outcome

@@ -15,8 +15,9 @@ Subcommands:
 
 Decision subcommands print ``ANSWER=<Yes|No|FuelExhausted> EVIDENCE=<n>``
 as their first stdout line and encode the verdict in the exit status:
-0 Yes, 1 No, 2 FuelExhausted, 3 usage or input errors.  ``--trace`` streams
-``position state`` pairs to stderr so stdout stays machine-parseable.
+0 Yes, 1 No, 2 FuelExhausted, 3 usage, input or any other errors.
+``--trace`` streams ``position state`` pairs to stderr so stdout stays
+machine-parseable.
 """
 
 from __future__ import annotations
@@ -200,10 +201,10 @@ def _cmd_rr(args: argparse.Namespace) -> int:
         r = parse_dfa(_read(args.automaton))
     else:
         r = regex_dfa(args.regex, lang.alphabet)
+    reduction = rr_to_prefix(r)
     if args.show_reduction:
-        print(serialize_dfa(rr_to_prefix(r)), end="", file=sys.stderr)
-    outcome = prefix_via_rr(rr_to_prefix(r), lang)
-    return _report(outcome)
+        print(serialize_dfa(reduction), end="", file=sys.stderr)
+    return _report(prefix_via_rr(reduction, lang))
 
 
 def _cmd_word(args: argparse.Namespace) -> int:
@@ -267,8 +268,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # any failure is an error; exit 1 would read as "No"
+        lines = str(exc).strip().splitlines()
+        print(f"error: {lines[0] if lines else type(exc).__name__}", file=sys.stderr)
         return 3
 
 

@@ -1,25 +1,30 @@
 """Fuel-bounded deciders for prefix membership along an infinite word.
 
-``decide_prefix`` answers whether the language of a deterministic automaton
-contains some prefix of the word: the run is simulated until it passes an
-accepting state (Yes), enters a dead-lock state (No), or runs out of fuel.
-Against a factor-universal word both resolutions are guaranteed to arrive no
-later than the occurrence bound of a definitive word, so with that fuel the
+Every decider in the package runs one resolution kernel, ``_resolve``: an
+automaton is stepped along a finite stretch of the word until it passes an
+accepting state (Yes), enters a dead-lock state (No), or the stretch ends
+(FuelExhausted).  ``decide_prefix`` feeds it a deterministic automaton's
+table and the first ``fuel`` symbols; the effective and diagonal-word
+deciders feed it their own tables and stretches.  Against a
+factor-universal word both resolutions are guaranteed to arrive no later
+than the occurrence bound of a definitive word, so with that fuel the
 decider is total.
 
 ``decide_buchi`` answers whether infinitely many prefixes are in the
 language: it runs the prefix decider on the variant automaton whose
-accepting set is the dead-lock set of the original and negates the answer.
-A Yes there means the original run is trapped away from accepting states
-(finitely many hits); a No means it never will be (infinitely many).
+accepting set is the dead-lock set of the original and negates the answer
+with ``_negated``.  A Yes there means the original run is trapped away from
+accepting states (finitely many hits); a No means it never will be
+(infinitely many).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from itertools import islice
+from typing import Callable, Iterable, Mapping
 
-from .automata import AlphabetMismatchError, Dfa, dead_lock_states
+from .automata import AlphabetMismatchError, Dfa, State, dead_lock_states
 from .words import InfiniteWord
 
 YES = "Yes"
@@ -72,6 +77,46 @@ def _check_same_alphabet(a: Dfa, w: InfiniteWord) -> None:
         )
 
 
+def _resolve(
+    table: Mapping[tuple[State, object], State],
+    q: State,
+    symbols: Iterable,
+    accepting: frozenset[State],
+    dead: frozenset[State],
+    on_step: Callable[[int, State], None] | None = None,
+) -> Outcome:
+    """Run from ``q`` along ``symbols`` until accept, dead-lock, or their end.
+
+    ``table[state, symbol]`` is the successor state.  ``on_step(position,
+    state)`` is called for position 0 (the start state) and after every
+    symbol read, before the verdict checks.  Running out of symbols is
+    reported as ``FuelExhausted`` with the number read.
+    """
+    if on_step is not None:
+        on_step(0, q)
+    if q in accepting:
+        return Verdict(YES, 0, 0)
+    if q in dead:
+        return Verdict(NO, 0, 0)
+    n = 0
+    for n, s in enumerate(symbols, start=1):
+        q = table[q, s]
+        if on_step is not None:
+            on_step(n, q)
+        if q in accepting:
+            return Verdict(YES, n, n)
+        if q in dead:
+            return Verdict(NO, n, n)
+    return FuelExhausted(n)
+
+
+def _negated(outcome: Outcome) -> Outcome:
+    """Swap Yes and No, keeping the evidence; FuelExhausted passes through."""
+    if isinstance(outcome, FuelExhausted):
+        return outcome
+    return Verdict(NO if outcome.answer == YES else YES, outcome.evidence, outcome.steps_used)
+
+
 def decide_prefix(
     a: Dfa,
     w: InfiniteWord,
@@ -85,29 +130,8 @@ def decide_prefix(
     """
     _check_same_alphabet(a, w)
     budget = Fuel.of(fuel).max_steps
-    dead = dead_lock_states(a)
-    q = a.initial
-    if on_step is not None:
-        on_step(0, q)
-    if q in a.accepting:
-        return Verdict(YES, 0, 0)
-    if q in dead:
-        return Verdict(NO, 0, 0)
-    delta = a.delta
-    accepting = a.accepting
-    n = 0
-    for s in w.iter_from(1):
-        n += 1
-        q = delta[(q, s)]
-        if on_step is not None:
-            on_step(n, q)
-        if q in accepting:
-            return Verdict(YES, n, n)
-        if q in dead:
-            return Verdict(NO, n, n)
-        if n >= budget:
-            return FuelExhausted(n)
-    raise AssertionError("unreachable: infinite words do not end")
+    symbols = islice(w.iter_from(1), budget)
+    return _resolve(a.delta, a.initial, symbols, a.accepting, dead_lock_states(a), on_step)
 
 
 def deadlock_accepting_variant(a: Dfa) -> Dfa:
@@ -130,11 +154,7 @@ def decide_buchi(
     Both events are exactly the resolutions of the prefix decider on the
     dead-lock-accepting variant, so its answer is negated.
     """
-    inner = decide_prefix(deadlock_accepting_variant(a), w, fuel, on_step)
-    if isinstance(inner, FuelExhausted):
-        return inner
-    flipped = NO if inner.answer == YES else YES
-    return Verdict(flipped, inner.evidence, inner.steps_used)
+    return _negated(decide_prefix(deadlock_accepting_variant(a), w, fuel, on_step))
 
 
 def brute_force_prefix_check(a: Dfa, w: InfiniteWord, upto: int) -> int | None:

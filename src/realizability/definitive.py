@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from .automata import (
     Dfa,
@@ -21,11 +22,11 @@ from .automata import (
     EPSILON,
     as_word,
     dead_lock_states,
+    explore,
     relabel_bfs,
     shortlex_smallest,
     with_initial,
 )
-from .omega import absorbing_accepting
 
 
 @dataclass(frozen=True)
@@ -92,63 +93,60 @@ def is_definitive(a: Dfa, w: Word | str) -> DefinitiveCertificate | Refutation:
     return DefinitiveCertificate(word, outcomes)
 
 
-def _witness_to_accepting(a: Dfa, start: State) -> Word | None:
-    """Shortlex-least word driving ``start`` into an accepting state, if any."""
-    return shortlex_smallest(with_initial(a, start))
+def definitive_fold(
+    states: Iterable[State],
+    dead: frozenset[State],
+    run: Callable[[tuple, State], State],
+    witness: Callable[[State], tuple],
+) -> tuple:
+    """Stitch per-state accepting witnesses into one definitive word.
 
-
-def find_definitive_word(a: Dfa) -> Word:
-    """Construct a definitive word by folding per-state accepting witnesses.
-
-    Iterates over the states in declaration order.  At each step the word
-    built so far is replayed from the next start state; the witness of the
-    state it lands in is appended (dead-locked states contribute nothing).
-    The result handles every start state by construction.
+    Iterates over the states in order.  At each step the word built so far
+    is replayed from the next start state with ``run``; the ``witness`` of
+    the state it lands in is appended, unless that state is dead-locked.
+    The result handles every start state by construction, and witnesses are
+    asked for only the states the fold lands in.
     """
-    dead = dead_lock_states(a)
-    witness: dict[State, Word] = {}
-    for q in a.states:
-        if q in dead:
-            witness[q] = EPSILON
-        else:
-            w = _witness_to_accepting(a, q)
-            assert w is not None  # q not dead-locked means an accepting state is reachable
-            witness[q] = w
-    word: Word = EPSILON
-    for q in a.states:
-        landing = a.run(word, start=q)
-        word = word + witness[landing]
+    word: tuple = ()
+    for q in states:
+        landing = run(word, q)
+        if landing not in dead:
+            word = word + witness(landing)
     return word
 
 
-def _absorbed_vector_bfs(a: Dfa):
-    """Breadth-first exploration of the product of accept-or-dead absorbed copies.
+def find_definitive_word(a: Dfa) -> Word:
+    """Construct a definitive word by folding shortlex-least accepting witnesses.
 
-    One copy of the automaton runs from every state simultaneously; a
-    component is absorbed (marked done) as soon as it touches an accepting or
-    dead-lock state.  A fully absorbed vector corresponds to a definitive
-    word.  Yields (vector, word, delta_dict_entry) in shortlex discovery
-    order; the caller decides when to stop.
+    The witness of a state that is not dead-locked is the shortlex-least word
+    driving it into an accepting state, which exists by definition.
     """
-    dead = dead_lock_states(a)
-    done = object()  # absorption marker
-
-    def absorb(q: State):
-        return done if q in a.accepting or q in dead else q
-
-    initial = tuple(absorb(q) for q in a.states)
-    return initial, done, dead, absorb
+    return definitive_fold(
+        a.states,
+        dead_lock_states(a),
+        lambda word, q: a.run(word, start=q),
+        lambda q: shortlex_smallest(with_initial(a, q)),
+    )
 
 
 def definitive_witness(a: Dfa) -> Word | None:
     """Shortlex-least definitive word, without materializing the language.
 
-    Breadth-first search over absorption vectors; the first fully absorbed
-    vector is reached by the shortlex-least definitive word.  Returns None
-    only if no definitive word exists, which cannot happen for total
-    automata (every automaton admits one), but the search is honest anyway.
+    Breadth-first search over the product of accept-or-dead absorbed copies:
+    one copy runs from every state, and a component is absorbed (marked
+    done) as soon as it touches an accepting or dead-lock state.  The first
+    fully absorbed vector is reached by the shortlex-least definitive word.
+    Returns None only if no definitive word exists, which cannot happen for
+    total automata (every automaton admits one), but the search is honest
+    anyway.
     """
-    initial, done, _dead, absorb = _absorbed_vector_bfs(a)
+    target = a.accepting | dead_lock_states(a)
+    done = object()
+
+    def absorb(q: State):
+        return done if q in target else q
+
+    initial = tuple(absorb(q) for q in a.states)
     if all(c is done for c in initial):
         return EPSILON
     seen = {initial}
@@ -170,34 +168,22 @@ def definitive_language(a: Dfa) -> Dfa:
     """Automaton accepting exactly the definitive words of ``a``.
 
     Built as the intersection over all start states q of the languages
-    "the run from q passes accepting-or-dead-lock", each realized by making
-    those states absorbing-accepting in a copy started at q.  The product is
-    explored on reachable absorption vectors only and relabeled breadth-first.
+    "the run from q passes accepting-or-dead-lock", each realized by a copy
+    started at q whose component is absorbed once it touches those states.
+    The product is explored on reachable absorption vectors only and
+    relabeled breadth-first.
     """
-    dead = dead_lock_states(a)
-    target = a.accepting | dead
-    absorbed = absorbing_accepting(
-        Dfa(a.alphabet, a.states, a.delta, a.initial, frozenset(target))
-    )
+    target = a.accepting | dead_lock_states(a)
     done = object()
 
     def absorb(q: State):
         return done if q in target else q
 
+    def step(vec: tuple, s: Symbol) -> tuple:
+        return tuple(c if c is done else absorb(a.delta[(c, s)]) for c in vec)
+
     initial = tuple(absorb(q) for q in a.states)
-    seen = {initial}
-    order = [initial]
-    queue = deque([initial])
-    delta: dict[tuple[State, Symbol], State] = {}
-    while queue:
-        vec = queue.popleft()
-        for s in a.alphabet:
-            nxt = tuple(c if c is done else absorb(absorbed.delta[(c, s)]) for c in vec)
-            delta[(vec, s)] = nxt
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
-                queue.append(nxt)
+    order, delta = explore(a.alphabet, initial, step)
     accepting = frozenset(vec for vec in order if all(c is done for c in vec))
-    product = Dfa(a.alphabet, tuple(order), delta, initial, accepting)
+    product = Dfa(a.alphabet, order, delta, initial, accepting)
     return relabel_bfs(product, prefix="d", start=0)

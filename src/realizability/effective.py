@@ -20,24 +20,26 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, NamedTuple
 
 from .automata import (
     Alphabet,
     Automaton,
     Dfa,
-    Nfa,
     State,
     Word,
+    as_dfa,
     concatenate,
     determinize,
     difference,
     empty_language,
-    intersect,
-    is_empty,
+    meets,
     union,
 )
-from .decide import Fuel, FuelExhausted, NO, Outcome, Verdict, YES
+from .decide import Fuel, Outcome, _negated, _resolve
+from .definitive import definitive_fold
+from .textio import FormatError, _tokenized
 from .words import EffectiveMorphism, IndexedInfiniteWord
 
 
@@ -83,6 +85,16 @@ def effective_dead_locks(ea: EffectiveAutomaton) -> frozenset[State]:
     )
 
 
+class _DeltaTable:
+    """``ea.delta(index, state)`` read as the kernel's ``table[state, index]``."""
+
+    def __init__(self, delta: Callable[[int, State], State]):
+        self.delta = delta
+
+    def __getitem__(self, key: tuple[State, int]) -> State:
+        return self.delta(key[1], key[0])
+
+
 def decide_prefix_infinite(
     ea: EffectiveAutomaton,
     w: IndexedInfiniteWord,
@@ -91,32 +103,14 @@ def decide_prefix_infinite(
 ) -> Outcome:
     """Prefix realizability of an effective automaton along an indexed word.
 
-    Same resolution discipline as the finite-alphabet decider: accept visit
+    Same resolution kernel as the finite-alphabet decider: accept visit
     means Yes, dead-lock entry means No, and dead-locks are computed up
     front from the existence predicate.
     """
     budget = Fuel.of(fuel).max_steps
     dead = effective_dead_locks(ea)
-    q = ea.initial
-    if on_step is not None:
-        on_step(0, q)
-    if q in ea.accepting:
-        return Verdict(YES, 0, 0)
-    if q in dead:
-        return Verdict(NO, 0, 0)
-    n = 0
-    for idx in w.iter_from(1):
-        n += 1
-        q = ea.delta(idx, q)
-        if on_step is not None:
-            on_step(n, q)
-        if q in ea.accepting:
-            return Verdict(YES, n, n)
-        if q in dead:
-            return Verdict(NO, n, n)
-        if n >= budget:
-            return FuelExhausted(n)
-    raise AssertionError("unreachable")
+    symbols = islice(w.iter_from(1), budget)
+    return _resolve(_DeltaTable(ea.delta), ea.initial, symbols, ea.accepting, dead, on_step)
 
 
 def decide_buchi_infinite(
@@ -127,11 +121,7 @@ def decide_buchi_infinite(
 ) -> Outcome:
     """Infinitely many accepted prefixes?  Dead-lock-accepting variant, negated."""
     variant = ea.with_accepting(effective_dead_locks(ea))
-    inner = decide_prefix_infinite(variant, w, fuel, on_step)
-    if isinstance(inner, FuelExhausted):
-        return inner
-    flipped = NO if inner.answer == YES else YES
-    return Verdict(flipped, inner.evidence, inner.steps_used)
+    return _negated(decide_prefix_infinite(variant, w, fuel, on_step))
 
 
 def find_transition_witness(
@@ -192,13 +182,7 @@ def definitive_index_sequence(ea: EffectiveAutomaton) -> tuple[int, ...]:
             q = ea.delta(k, q)
         return q
 
-    word: tuple[int, ...] = ()
-    for q in ea.states:
-        landing = run(word, q)
-        if landing in dead:
-            continue
-        word = word + witness(landing)
-    return word
+    return definitive_fold(ea.states, dead, run, witness)
 
 
 def derived_fuel(ea: EffectiveAutomaton, w: IndexedInfiniteWord) -> Fuel:
@@ -298,11 +282,7 @@ def decide_buchi_morphism(
     variant = ea.with_accepting(effective_dead_locks(ea))
     if fuel is None:
         fuel = derived_fuel(variant, w)
-    inner = decide_prefix_infinite(variant, w, fuel)
-    if isinstance(inner, FuelExhausted):
-        return inner
-    flipped = NO if inner.answer == YES else YES
-    return Verdict(flipped, inner.evidence, inner.steps_used)
+    return _negated(decide_prefix_infinite(variant, w, fuel))
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +369,8 @@ def effective_from_index_sets(
     return EffectiveAutomaton(states, delta, exists, initial, accepting)
 
 
-class EffectiveFormatError(ValueError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+class EffectiveFormatError(FormatError):
+    """Parse error of the effective-automaton format, with its line number."""
 
 
 def parse_effective(text: str) -> EffectiveAutomaton:
@@ -412,15 +390,7 @@ def parse_effective(text: str) -> EffectiveAutomaton:
     initial = None
     accepting: frozenset[str] | None = None
     rules: dict[State, list[tuple[IndexSet, State]]] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":" not in line:
-            raise EffectiveFormatError(line_no, f"expected 'key: values', got {raw.strip()!r}")
-        key, _, rest = line.partition(":")
-        key = key.strip()
-        tokens = rest.split()
+    for line_no, key, tokens in _tokenized(text, EffectiveFormatError):
         if key == "states":
             states = tuple(tokens)
             if len(set(states)) != len(states):
@@ -461,14 +431,6 @@ def parse_effective(text: str) -> EffectiveAutomaton:
 _BINARY = Alphabet(("0", "1"))
 
 
-def _regular_oracle(language: Dfa) -> Callable[[Automaton], bool]:
-    def oracle(r: Automaton) -> bool:
-        d = determinize(r) if isinstance(r, Nfa) else r
-        return not is_empty(intersect(d, language))
-
-    return oracle
-
-
 def zero_one_runs() -> EffectiveMorphism:
     """Even index 2k maps to 0^k, odd index 2k+1 maps to 1^k (so index 1 erases).
 
@@ -495,7 +457,7 @@ def zero_one_runs() -> EffectiveMorphism:
         ("x", "1"): "x",
     }
     image_set = Dfa(_BINARY, states, delta, "e", frozenset({"e", "z", "o"}))
-    return EffectiveMorphism(_BINARY, image, _regular_oracle(image_set))
+    return EffectiveMorphism(_BINARY, image, lambda r: meets(r, image_set))
 
 
 def _balanced_block_intersects(r: Dfa) -> bool:
@@ -548,9 +510,7 @@ def zero_one_blocks() -> EffectiveMorphism:
     ones_star = Dfa(_BINARY, ("a", "x"), ones_star_delta, "a", frozenset({"a"}))
 
     def oracle(r: Automaton) -> bool:
-        d = determinize(r) if isinstance(r, Nfa) else r
-        if not is_empty(intersect(d, ones_star)):
-            return True
-        return _balanced_block_intersects(d)
+        d = as_dfa(r)
+        return meets(d, ones_star) or _balanced_block_intersects(d)
 
     return EffectiveMorphism(_BINARY, image, oracle)

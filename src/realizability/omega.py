@@ -23,6 +23,7 @@ from .automata import (
     Word,
     as_word,
     determinize,
+    explore,
     nfa_of,
     sigma_star_prefix,
 )
@@ -186,18 +187,8 @@ def macrostate_automaton(m: MullerAutomaton, macro: frozenset[State]) -> Dfa:
     set of the run; it is kept for study and for the counterexample tests.
     """
     initial = frozenset({m.initial})
-    seen = {initial}
-    order = [initial]
-    queue = deque([initial])
-    delta: dict[tuple[State, Symbol], State] = {}
-    while queue:
-        current = queue.popleft()
-        for s in m.alphabet:
-            target = frozenset(m.delta[(q, s)] for q in current)
-            delta[(current, s)] = target
-            if target not in seen:
-                seen.add(target)
-                order.append(target)
-                queue.append(target)
-    accepting = frozenset({macro}) if macro in seen else frozenset()
-    return Dfa(m.alphabet, tuple(order), delta, initial, accepting)
+    order, delta = explore(
+        m.alphabet, initial, lambda current, s: frozenset(m.delta[(q, s)] for q in current)
+    )
+    accepting = frozenset({macro}) if macro in order else frozenset()
+    return Dfa(m.alphabet, order, delta, initial, accepting)

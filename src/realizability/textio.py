@@ -19,6 +19,8 @@ completed with an explicit non-accepting sink state at parse time.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .automata import Alphabet, Dfa, Nfa, State, Symbol
 from .omega import MullerAutomaton
 
@@ -33,13 +35,19 @@ class FormatError(ValueError):
         self.line_no = line_no
 
 
-def _tokenized(text: str):
+def _tokenized(text: str, error: Callable[[int, str], Exception] = FormatError):
+    """Yield ``(line_no, key, tokens)`` for every ``key: values`` line.
+
+    The one line tokenizer of every text format in the package: comments
+    and blank lines are skipped, and a line without ``:`` raises
+    ``error(line_no, message)``.
+    """
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if ":" not in line:
-            raise FormatError(line_no, f"expected 'key: values', got {raw.strip()!r}")
+            raise error(line_no, f"expected 'key: values', got {raw.strip()!r}")
         key, _, rest = line.partition(":")
         yield line_no, key.strip(), rest.split()
 

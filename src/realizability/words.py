@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import count, product
 from typing import Callable, Iterable, Iterator
 
-from .automata import Alphabet, Automaton, Symbol, Word, as_word
+from .automata import Alphabet, Automaton, Symbol, Word, as_word, literal_dfa, meets, union
 
 FACTOR_UNIVERSAL = "factor-universal"
 UNKNOWN = "unknown"
@@ -154,8 +154,6 @@ class EffectiveMorphism:
     @classmethod
     def index_periodic(cls, images: Iterable[Word | str], alphabet: Alphabet) -> "EffectiveMorphism":
         """Images cycle through a finite list by index residue; oracle included."""
-        from .automata import Nfa, is_empty, determinize, intersect, literal_dfa, union
-
         fixed = tuple(as_word(w) for w in images)
         if not fixed:
             raise ValueError("need at least one image")
@@ -170,11 +168,7 @@ class EffectiveMorphism:
             d = literal_dfa(w, alphabet)
             image_set = d if image_set is None else union(image_set, d)
 
-        def oracle(r: Automaton) -> bool:
-            d = r if not isinstance(r, Nfa) else determinize(r)
-            return not is_empty(intersect(d, image_set))
-
-        return cls(alphabet, image, oracle)
+        return cls(alphabet, image, lambda r: meets(r, image_set))
 
 
 def champernowne(alphabet: Alphabet) -> InfiniteWord:

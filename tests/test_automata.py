@@ -35,10 +35,27 @@ from realizability import (
     with_initial,
     words_upto,
 )
+from realizability.automata import meets, nfa_of
 
 
 def brute_language(a, max_len: int) -> set:
     return {w for w in words_upto(a.alphabet, max_len) if a.accepts(w)}
+
+
+def pair_graph_meets(r: Nfa, d: Dfa) -> bool:
+    """Is a pair of accepting states reachable in the product of r's moves and d's table?"""
+    stack = [(p, d.initial) for p in r.initials]
+    seen = set(stack)
+    while stack:
+        p, q = stack.pop()
+        if p in r.accepting and q in d.accepting:
+            return True
+        for src, s, dst in r.transitions:
+            pair = (dst, d.delta[(q, s)])
+            if src == p and pair not in seen:
+                seen.add(pair)
+                stack.append(pair)
+    return False
 
 
 class TestAlphabetAndWords:
@@ -153,6 +170,13 @@ class TestBooleanAlgebra:
         other = random_dfa(random.Random(0), alphabet=ABC)
         with pytest.raises(AlphabetMismatchError):
             intersect(a_contains1, other)
+
+    def test_meets_matches_pair_graph_search(self):
+        rng = random.Random(29)
+        for _ in range(60):
+            d = random_dfa(rng, max_states=4)
+            for r in (random_dfa(rng, max_states=4), random_nfa(rng, max_states=4)):
+                assert meets(r, d) == pair_graph_meets(nfa_of(r), d), (r, d)
 
 
 class TestNfaAndDeterminize:

@@ -272,6 +272,10 @@ class TestMachines:
         with pytest.raises(ValueError):
             parse_machines("machine: m\nstart: s\nbogus: 1\n")
 
+    def test_line_without_colon_fails_like_other_formats(self):
+        with pytest.raises(ValueError, match=r"^line 2: expected 'key: values', got 'machine m'$"):
+            parse_machines("# intro\nmachine m\nstart: s\n")
+
 
 class TestBlocks:
     def test_block_words(self):

@@ -393,3 +393,15 @@ class TestErrors:
         code = main([])
         capsys.readouterr()
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "gen", [["champernowne"], ["ultper", "--loop", "01"]], ids=["champernowne", "ultper"]
+    )
+    def test_negative_upto_is_an_error_not_a_no(self, gen, capsys):
+        # an escaping exception would exit with 1, which reads as "No"
+        code = main(["word", "dump", "--gen", *gen, "--upto", "-3"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert len(captured.err.splitlines()) == 1

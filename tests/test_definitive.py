@@ -34,6 +34,7 @@ from realizability import (
     with_initial,
     words_upto,
 )
+from realizability.definitive import definitive_fold
 
 
 def oracle_definitive_language(a: Dfa) -> Dfa:
@@ -96,6 +97,41 @@ class TestFindDefinitiveWord:
             a = random_dfa(rng, max_states=8, alphabet=rng.choice([BINARY, ABC]))
             w = find_definitive_word(a)
             assert isinstance(is_definitive(a, w), DefinitiveCertificate)
+
+
+def eager_definitive_word(a: Dfa) -> tuple[str, ...]:
+    """Reference fold: a shortlex witness for every live state, computed up front."""
+    dead = dead_lock_states(a)
+    witness = {q: () if q in dead else shortlex_smallest(with_initial(a, q)) for q in a.states}
+    word: tuple[str, ...] = ()
+    for q in a.states:
+        word = word + witness[a.run(word, start=q)]
+    return word
+
+
+class TestDefinitiveFold:
+    @pytest.mark.parametrize("alphabet", [BINARY, ABC], ids=["01", "abc"])
+    def test_lazy_fold_matches_eager_fold(self, alphabet):
+        rng = random.Random(107)
+        for _ in range(200):
+            a = random_dfa(rng, max_states=8, alphabet=alphabet)
+            assert find_definitive_word(a) == eager_definitive_word(a)
+
+    def test_witnesses_only_for_landing_states(self):
+        # s0 -0-> s1 -0-> s2, and 1 leads everywhere to the accepting s2: the
+        # witness 1 of s0 already carries s1 into s2, so s1 is never asked
+        delta = {("s0", "0"): "s1", ("s1", "0"): "s2", ("s2", "0"): "s2"}
+        delta.update({(q, "1"): "s2" for q in ("s0", "s1", "s2")})
+        a = Dfa(BINARY, ("s0", "s1", "s2"), delta, "s0", frozenset({"s2"}))
+        asked: list[str] = []
+
+        def witness(q):
+            asked.append(q)
+            return shortlex_smallest(with_initial(a, q))
+
+        word = definitive_fold(a.states, frozenset(), lambda w, q: a.run(w, start=q), witness)
+        assert word == ("1",)
+        assert asked == ["s0", "s2", "s2"]
 
 
 class TestDefinitiveLanguage:

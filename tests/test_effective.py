@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 
@@ -10,6 +11,7 @@ from helpers import BINARY, random_dfa
 from realizability import (
     AugmentedState,
     EffectiveAutomaton,
+    EffectiveMorphism,
     EffectiveFormatError,
     FuelExhausted,
     IndexSet,
@@ -172,6 +174,31 @@ class TestDecideInfinite:
         ea2 = parity_automaton(frozenset({"q1"}))
         assert decide_buchi_infinite(ea2, w, 100) == Verdict("Yes", 0, 0)
 
+    def test_on_step_trace(self):
+        ea = parity_automaton(frozenset({"q1"}))
+        trace: list[tuple[int, str]] = []
+        outcome = decide_prefix_infinite(
+            ea, universal_indexed_word(), 100, on_step=lambda n, q: trace.append((n, q))
+        )
+        assert outcome == Verdict("Yes", 1, 1)
+        assert trace == [(0, "q0"), (1, "q1")]
+        trace.clear()
+        evens = indexed_periodic((2, 4))
+        outcome = decide_prefix_infinite(ea, evens, 3, on_step=lambda n, q: trace.append((n, q)))
+        assert outcome == FuelExhausted(3)
+        assert trace == [(0, "q0"), (1, "q0"), (2, "q0"), (3, "q0")]
+
+    def test_buchi_on_step_trace(self):
+        # the variant accepts q1 (the dead-lock of the original): the trace
+        # is the variant's run, and its Yes at 1 comes back negated
+        ea = parity_automaton(frozenset({"q0"}))
+        trace: list[tuple[int, str]] = []
+        outcome = decide_buchi_infinite(
+            ea, universal_indexed_word(), 100, on_step=lambda n, q: trace.append((n, q))
+        )
+        assert outcome == Verdict("No", 1, 1)
+        assert trace == [(0, "q0"), (1, "q1")]
+
     def test_definitive_index_sequence_resolves_all_starts(self):
         for accepting in (frozenset({"q1"}), frozenset({"q0"}), frozenset({"q0", "q1"})):
             ea = parity_automaton(accepting)
@@ -186,6 +213,64 @@ class TestDecideInfinite:
                     q = ea.delta(k, q)
                     resolved = q in ea.accepting or q in dead
                 assert resolved, (accepting, start, seq)
+
+
+def eager_index_sequence(ea: EffectiveAutomaton) -> tuple[int, ...]:
+    """Reference fold: BFS witnesses over realized transitions, replayed per start."""
+    dead = effective_dead_locks(ea)
+
+    def witness(start):
+        if start in ea.accepting:
+            return ()
+        parents = {}
+        seen = {start}
+        queue = deque([start])
+        goal = None
+        while queue and goal is None:
+            p = queue.popleft()
+            for q in ea.states:
+                if q in seen or not ea.exists_transition(p, q):
+                    continue
+                parents[q] = (p, find_transition_witness(ea, p, q))
+                if q in ea.accepting:
+                    goal = q
+                    break
+                seen.add(q)
+                queue.append(q)
+        path = []
+        q = goal
+        while q != start:
+            p, k = parents[q]
+            path.append(k)
+            q = p
+        return tuple(reversed(path))
+
+    word: tuple[int, ...] = ()
+    for start in ea.states:
+        q = start
+        for k in word:
+            q = ea.delta(k, q)
+        if q not in dead:
+            word = word + witness(q)
+    return word
+
+
+class TestDefinitiveIndexSequenceDifferential:
+    @pytest.mark.parametrize(
+        "morphism",
+        [
+            zero_one_runs,
+            zero_one_blocks,
+            lambda: EffectiveMorphism.index_periodic(["01", "1", ""], BINARY),
+        ],
+        ids=["runs", "blocks", "cyclic"],
+    )
+    def test_matches_reference_fold_on_reductions(self, morphism):
+        rng = random.Random(437)
+        phi = morphism()
+        for _ in range(12):
+            ea = reduce_morphism_automaton(random_dfa(rng, max_states=3), phi)
+            assert definitive_index_sequence(ea) == eager_index_sequence(ea)
 
 
 class TestParseEffective:
@@ -207,6 +292,11 @@ class TestParseEffective:
     def test_missing_states_line(self):
         with pytest.raises(EffectiveFormatError):
             parse_effective("initial: q0\n")
+
+    def test_line_without_colon(self):
+        with pytest.raises(EffectiveFormatError, match="expected 'key: values'") as exc_info:
+            parse_effective("states: q0\ninitial q0\n")
+        assert exc_info.value.line_no == 2
 
     def test_unknown_state_in_rule(self):
         bad = FIXTURE_TEXT.replace("etrans: q1 q1 all", "etrans: q1 zz all")
