@@ -540,18 +540,24 @@ def theorem1_word(machines: MachineList) -> Theorem1Word:
     return Theorem1Word(machines)
 
 
-def decide_prefix_theorem1(a: Dfa, machines: MachineList, word: Theorem1Word | None = None) -> Verdict:
+def decide_prefix_theorem1(
+    a: Dfa,
+    machines: MachineList,
+    word: Theorem1Word | None = None,
+    on_step: Callable[[int, object], None] | None = None,
+) -> Verdict:
     """Fuel-free prefix realizability along the diagonal word.
 
     The word's stage for the automaton's own canonical index settles the
     question: every later symbol extends the prefix by blocks the stage's
     patch already accounted for, so if the run has not passed an accepting
-    state by the end of that stage it never will.
+    state by the end of that stage it never will.  ``on_step`` is called as
+    in ``decide_prefix``.
     """
     if a.alphabet != BINARY:
         raise AlphabetMismatchError("the diagonal word is over the binary alphabet 0/1")
     w = word if word is not None else theorem1_word(machines)
     index = encode_dfa(a)
     stage = w.ensure_stage(index)
-    outcome = _resolve(a.delta, a.initial, w.prefix(stage.end), a.accepting, dead_lock_states(a))
+    outcome = _resolve(a.delta, a.initial, w.prefix(stage.end), a.accepting, dead_lock_states(a), on_step)
     return Verdict(NO, stage.end, stage.end) if isinstance(outcome, FuelExhausted) else outcome

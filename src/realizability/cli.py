@@ -5,7 +5,8 @@ Subcommands:
 * ``definitive <automaton-file> [--language]`` — print a definitive word
   (``DEFINITIVE=<word>``) and optionally the definitive-language automaton.
 * ``decide-prefix`` / ``decide-buchi`` — run the fuel-bounded deciders for
-  an automaton file against a generated infinite word.
+  an automaton file against a generated infinite word (the diagonal word's
+  prefix decider needs no fuel).
 * ``decide-infinite`` — prefix/Büchi decisions for an effective automaton
   over the indexed alphabet along the universal indexed word.
 * ``rr`` — does a regular language meet a filter language?  Runs the full
@@ -29,6 +30,8 @@ from typing import Callable
 from .automata import Alphabet, Dfa, regex_dfa, render_word
 from .bridge import (
     FilterLanguage,
+    Theorem1Word,
+    decide_prefix_theorem1,
     parse_machines,
     rr_to_prefix,
     prefix_via_rr,
@@ -177,6 +180,9 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     w = _build_generator(args)
     if isinstance(w, IndexedInfiniteWord):
         raise ValueError("this generator yields symbol indices; use decide-infinite")
+    if args.fuel is None and not args.buchi and isinstance(w, Theorem1Word):
+        # The diagonal word settles prefix questions at a known stage: no fuel needed.
+        return _report(decide_prefix_theorem1(a, w.machines, w, _tracer(args.trace)))
     if args.fuel is not None:
         fuel = Fuel(args.fuel)
     else:

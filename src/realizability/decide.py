@@ -20,12 +20,13 @@ accepting states (finitely many hits); a No means it never will be
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .automata import AlphabetMismatchError, Dfa, State, dead_lock_states
-from .words import InfiniteWord
+from .words import IndexedInfiniteWord, InfiniteWord
 
 YES = "Yes"
 NO = "No"
@@ -110,6 +111,12 @@ def _resolve(
     return FuelExhausted(n)
 
 
+def _stretch(w: InfiniteWord | IndexedInfiniteWord, fuel: Fuel | int) -> Iterator:
+    """The first ``fuel`` symbols of ``w``; a budget past ``sys.maxsize`` is unbounded."""
+    budget = Fuel.of(fuel).max_steps
+    return islice(w.iter_from(1), budget if budget < sys.maxsize else None)
+
+
 def _negated(outcome: Outcome) -> Outcome:
     """Swap Yes and No, keeping the evidence; FuelExhausted passes through."""
     if isinstance(outcome, FuelExhausted):
@@ -129,9 +136,7 @@ def decide_prefix(
     and after every symbol read, before the verdict checks.
     """
     _check_same_alphabet(a, w)
-    budget = Fuel.of(fuel).max_steps
-    symbols = islice(w.iter_from(1), budget)
-    return _resolve(a.delta, a.initial, symbols, a.accepting, dead_lock_states(a), on_step)
+    return _resolve(a.delta, a.initial, _stretch(w, fuel), a.accepting, dead_lock_states(a), on_step)
 
 
 def deadlock_accepting_variant(a: Dfa) -> Dfa:
@@ -183,11 +188,7 @@ def count_accepted_prefixes(a: Dfa, w: InfiniteWord, upto: int) -> int:
     total = 1 if q in a.accepting else 0
     delta = a.delta
     accepting = a.accepting
-    n = 0
-    for s in w.iter_from(1):
-        if n >= upto:
-            break
-        n += 1
+    for s in islice(w.iter_from(1), max(upto, 0)):
         q = delta[(q, s)]
         if q in accepting:
             total += 1

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, NamedTuple
 
 from .automata import (
@@ -37,7 +36,7 @@ from .automata import (
     meets,
     union,
 )
-from .decide import Fuel, Outcome, _negated, _resolve
+from .decide import Fuel, Outcome, _negated, _resolve, _stretch
 from .definitive import definitive_fold
 from .textio import FormatError, _tokenized
 from .words import EffectiveMorphism, IndexedInfiniteWord
@@ -107,10 +106,8 @@ def decide_prefix_infinite(
     means Yes, dead-lock entry means No, and dead-locks are computed up
     front from the existence predicate.
     """
-    budget = Fuel.of(fuel).max_steps
     dead = effective_dead_locks(ea)
-    symbols = islice(w.iter_from(1), budget)
-    return _resolve(_DeltaTable(ea.delta), ea.initial, symbols, ea.accepting, dead, on_step)
+    return _resolve(_DeltaTable(ea.delta), ea.initial, _stretch(w, fuel), ea.accepting, dead, on_step)
 
 
 def decide_buchi_infinite(

@@ -3,8 +3,11 @@
 Positions are 1-based throughout: ``W[1, n]`` is the length-n prefix and the
 empty prefix is position 0.  Words are represented by a memoizing buffer fed
 from either a symbol stream or a direct index formula, so repeated decisions
-against the same word never recompute symbols.  Buffer extension is guarded
-by a lock; concurrent readers are safe.
+against the same word never recompute symbols.  Symbols move in slices: the
+buffer pulls a stretch from its source with one ``list.extend``, and
+``iter_from`` reads it back in slices of 64 symbols doubling to 1024,
+extending it only at its end, so a reader runs at most 1024 symbols ahead.
+Buffer extension is guarded by a lock; concurrent readers are safe.
 
 ``factor-universal`` tags a word that provably contains every finite word
 over its alphabet as a factor, together with a computable occurrence bound.
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from itertools import count, product
+from itertools import chain, count, islice, product
 from typing import Callable, Iterable, Iterator
 
 from .automata import Alphabet, Automaton, Symbol, Word, as_word, literal_dfa, meets, union
@@ -39,11 +42,16 @@ class _Buffered:
         self._lock = threading.Lock()
 
     def _extend_to(self, n: int) -> None:
-        if self._index_fn is not None:
+        buf = self._buf
+        if self._index_fn is not None or len(buf) >= n:
             return
         with self._lock:
-            while len(self._buf) < n:
-                self._buf.append(next(self._iter))
+            have = len(buf)
+            if have < n:
+                buf.extend(islice(self._iter, n - have))
+                if len(buf) < n:
+                    del buf[have:]
+                    raise RuntimeError(f"word source ended before position {n}")
 
     def _at(self, i: int):
         if i < 1:
@@ -57,24 +65,28 @@ class _Buffered:
         if n < 0:
             raise IndexError("prefix length must be non-negative")
         if self._index_fn is not None:
-            return tuple(self._index_fn(i) for i in range(1, n + 1))
+            return tuple(map(self._index_fn, range(1, n + 1)))
         self._extend_to(n)
         return tuple(self._buf[:n])
 
     def _iter_from(self, start: int = 1) -> Iterator:
         if start < 1:
             raise IndexError("positions are 1-based")
-        i = start
         if self._index_fn is not None:
-            while True:
-                yield self._index_fn(i)
-                i += 1
+            return map(self._index_fn, count(start))
+        return chain.from_iterable(self._slices(start - 1))
+
+    def _slices(self, i: int) -> Iterator[list]:
+        """Buffer slices from offset ``i``: 64 symbols, doubling up to 1024."""
         buf = self._buf
+        size = 64
         while True:
-            if len(buf) < i:
-                self._extend_to(i + 1023)
-            yield buf[i - 1]
-            i += 1
+            if i >= len(buf):
+                self._extend_to(i + size)
+            piece = buf[i : i + size]
+            yield piece
+            i += len(piece)
+            size = min(2 * size, 1024)
 
 
 class InfiniteWord(_Buffered):
@@ -180,9 +192,8 @@ def champernowne(alphabet: Alphabet) -> InfiniteWord:
     k = len(alphabet)
 
     def source() -> Iterator[Symbol]:
-        for length in count(1):
-            for tup in product(alphabet.symbols, repeat=length):
-                yield from tup
+        blocks = (product(alphabet.symbols, repeat=length) for length in count(1))
+        return chain.from_iterable(chain.from_iterable(blocks))
 
     def occurrence_bound(w: Word | str) -> int:
         word = as_word(w)
@@ -237,8 +248,14 @@ def universal_round_length(n: int) -> int:
 
 
 def universal_round_end(r: int) -> int:
-    """Position of the last symbol of round r."""
-    return sum(universal_round_length(n) for n in range(1, r + 1))
+    """Position of the last symbol of round r.
+
+    Rounds 1..r emit each index sequence of length <= r over indices <= r
+    once, so the end is the sum of l * r**l over l = 1..r, in closed form.
+    """
+    if r < 2:
+        return max(r, 0)
+    return r * (1 - (r + 1) * r**r + r ** (r + 2)) // (r - 1) ** 2
 
 
 def universal_indexed_word() -> IndexedInfiniteWord:
@@ -250,9 +267,7 @@ def universal_indexed_word() -> IndexedInfiniteWord:
     """
 
     def source() -> Iterator[int]:
-        for n in count(1):
-            for tup in _universal_round_words(n):
-                yield from tup
+        return chain.from_iterable(chain.from_iterable(map(_universal_round_words, count(1))))
 
     def occurrence_bound(seq: tuple[int, ...]) -> int:
         seq = tuple(seq)
@@ -287,17 +302,16 @@ def apply_morphism(
 
     def source() -> Iterator[Symbol]:
         erased = 0
-        for idx in w.iter_from(1):
+
+        def image(idx: int) -> Word:
+            nonlocal erased
             img = phi.image(idx)
-            if img:
-                erased = 0
-                yield from img
-            else:
-                erased += 1
-                if erased > stall_limit:
-                    raise MorphismStallError(
-                        f"{stall_limit} consecutive erasing images; image word stalled"
-                    )
+            erased = 0 if img else erased + 1
+            if erased > stall_limit:
+                raise MorphismStallError(f"{stall_limit} consecutive erasing images; image word stalled")
+            return img
+
+        return chain.from_iterable(map(image, w.iter_from(1)))
 
     return InfiniteWord(phi.alphabet, source=source)
 

@@ -64,6 +64,13 @@ start: a
 trans: a _ _ R a
 """
 
+# Counts 1s mod 70 and accepts the count 69: the occurrence bound of its
+# definitive word along the Champernowne word is far past sys.maxsize.
+COUNTER70 = "alphabet: 0 1\nstates: {}\ninitial: c0\naccepting: c69\n{}".format(
+    " ".join(f"c{i}" for i in range(70)),
+    "".join(f"trans: c{i} 0 c{i}\ntrans: c{i} 1 c{(i + 1) % 70}\n" for i in range(70)),
+)
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -74,6 +81,7 @@ def files(tmp_path):
         ("zeros.aut", ZEROS_FILTER),
         ("eff.txt", EFFECTIVE),
         ("machines.txt", MACHINES),
+        ("counter70.aut", COUNTER70),
     ]:
         p = tmp_path / name
         p.write_text(text)
@@ -200,6 +208,33 @@ class TestDecidePrefix:
         assert code == 0
         assert out == "ANSWER=Yes EVIDENCE=1\n"
 
+    def test_theorem1_without_fuel_uses_the_fuel_free_decider(self, files, capsys):
+        args = ["decide-prefix", "--automaton", files["contains1.aut"], "--gen", "theorem1"]
+        code = main(args + ["--machines", files["machines.txt"]])
+        assert code == 0
+        assert capsys.readouterr().out == "ANSWER=Yes EVIDENCE=1\n"
+        code = main(args + ["--machines", files["machines.txt"], "--trace"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == "ANSWER=Yes EVIDENCE=1\n"
+        assert captured.err == "0 s0\n1 s1\n"
+
+    def test_theorem1_buchi_still_needs_fuel(self, files, capsys):
+        code = main(
+            ["decide-buchi", "--automaton", files["contains1.aut"], "--gen", "theorem1",
+             "--machines", files["machines.txt"]]
+        )
+        assert code == 3
+        assert "--fuel is required" in capsys.readouterr().err
+
+    def test_derived_fuel_past_maxsize(self, files, capsys):
+        code = main(
+            ["decide-prefix", "--automaton", files["counter70.aut"], "--gen", "champernowne"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out == "ANSWER=Yes EVIDENCE=158\n"
+
     def test_reruns_are_byte_identical(self, files, capsys):
         args = ["decide-prefix", "--automaton", files["contains1.aut"], "--gen", "champernowne"]
         main(args)
@@ -240,6 +275,12 @@ class TestDecideInfinite:
         out = capsys.readouterr().out
         assert code == 0
         assert out == "ANSWER=Yes EVIDENCE=0\n"
+
+    def test_fuel_past_maxsize(self, files, capsys):
+        code = main(["decide-infinite", "--effective", files["eff.txt"], "--fuel", str(10**30)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out == "ANSWER=Yes EVIDENCE=1\n"
 
     def test_explicit_fuel_exhaustion(self, files, capsys):
         # accepting only on odd indices, but force a tiny budget with a word

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -28,6 +29,16 @@ W = champernowne(BINARY)
 
 def default_fuel(a: Dfa) -> Fuel:
     return Fuel(max(1, W.occurrence_bound(find_definitive_word(a))))
+
+
+def counter(n: int) -> Dfa:
+    """Counts 1s mod n and accepts the count n - 1."""
+    states = tuple(f"c{i}" for i in range(n))
+    delta = {}
+    for i, q in enumerate(states):
+        delta[q, "0"] = q
+        delta[q, "1"] = states[(i + 1) % n]
+    return Dfa(BINARY, states, delta, states[0], frozenset({states[-1]}))
 
 
 class TestFuel:
@@ -103,6 +114,16 @@ class TestDecidePrefix:
             else:
                 # no accepted prefix, even far beyond the point of resolution
                 assert brute_force_prefix_check(a, W, 10 * fuel.max_steps) is None
+
+
+class TestBudgetPastMaxsize:
+    def test_derived_fuel_past_maxsize_reads_unbounded(self):
+        a = counter(70)
+        fuel = default_fuel(a)
+        assert fuel.max_steps > sys.maxsize
+        assert decide_prefix(a, W, fuel) == Verdict("Yes", 158, 158)
+        assert decide_prefix(a, W, sys.maxsize) == Verdict("Yes", 158, 158)
+        assert decide_buchi(a, W, fuel) == Verdict("Yes", 0, 0)
 
 
 class TestDecideBuchi:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from collections import deque
 
 import pytest
@@ -144,6 +145,12 @@ class TestDecideInfinite:
         ea2 = effective_from_index_sets(("q0", "q1", "q2"), rules, "q0", frozenset({"q2"}))
         outcome = decide_prefix_infinite(ea2, indexed_periodic((1,)), 100)
         assert outcome == Verdict("No", 1, 1)
+
+    def test_budget_past_maxsize_reads_unbounded(self):
+        ea = parity_automaton(frozenset({"q1"}))
+        w = indexed_periodic((2, 4, 1))
+        assert decide_prefix_infinite(ea, w, sys.maxsize + 1) == Verdict("Yes", 3, 3)
+        assert decide_buchi_infinite(ea, w, 10**30) == Verdict("Yes", 0, 0)
 
     def test_fuel_exhaustion(self):
         ea = parity_automaton(frozenset({"q1"}))

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
+from itertools import count, islice, product
 
 import pytest
 
+from conftest import MACHINES_TEXT
 from helpers import ABC, BINARY, random_word
 from realizability import (
     FACTOR_UNIVERSAL,
+    EffectiveMorphism,
+    InfiniteWord,
     MorphismStallError,
     apply_morphism,
     as_word,
@@ -16,10 +22,13 @@ from realizability import (
     factor_search,
     indexed_factor_search,
     indexed_periodic,
+    parse_machines,
+    theorem1_word,
     ultimately_periodic,
     universal_indexed_word,
     universal_round_end,
     universal_round_length,
+    zero_one_blocks,
     zero_one_runs,
 )
 from realizability.words import _universal_round_words
@@ -129,6 +138,13 @@ class TestUniversalIndexedWord:
         assert universal_round_end(2) == 10
         assert universal_round_end(3) == 102
 
+    def test_round_end_closed_form_matches_summed_round_lengths(self):
+        total = 0
+        assert universal_round_end(0) == 0
+        for r in range(1, 41):
+            total += universal_round_length(r)
+            assert universal_round_end(r) == total, r
+
     def test_declared_factor_universal(self):
         assert universal_indexed_word().universality == FACTOR_UNIVERSAL
 
@@ -195,3 +211,126 @@ class TestAsWord:
         assert as_word("011") == ("0", "1", "1")
         assert as_word(("0", "1")) == ("0", "1")
         assert as_word("") == ()
+
+
+# ---------------------------------------------------------------------------
+# The slice buffer against per-symbol reference sources
+
+
+def _champernowne_symbols(symbols):
+    for length in count(1):
+        for tup in product(symbols, repeat=length):
+            yield from tup
+
+
+def _universal_symbols():
+    for n in count(1):
+        for length in range(1, n + 1):
+            for tup in product(range(1, n + 1), repeat=length):
+                if length == n or max(tup) == n:
+                    yield from tup
+
+
+def _morphism_symbols(phi):
+    for idx in _universal_symbols():
+        yield from phi.image(idx)
+
+
+def _ultper_symbols(stem, loop):
+    for i in count(1):
+        yield stem[i - 1] if i <= len(stem) else loop[(i - len(stem) - 1) % len(loop)]
+
+
+CYCLIC = EffectiveMorphism.index_periodic(["01", "", "1"], BINARY)
+STARTS = (1, 63, 64, 65, 1023, 1024, 1025, 5000)
+READ = 2100  # from each start, past slices of 64, 128, ..., 1024 symbols
+SPAN = max(STARTS) - 1 + READ
+
+WORDS = {
+    "champernowne-01": (lambda: champernowne(BINARY), lambda: _champernowne_symbols("01")),
+    "champernowne-abc": (lambda: champernowne(ABC), lambda: _champernowne_symbols("abc")),
+    "universal": (universal_indexed_word, _universal_symbols),
+    "zero-one-runs": (
+        lambda: apply_morphism(zero_one_runs(), universal_indexed_word()),
+        lambda: _morphism_symbols(zero_one_runs()),
+    ),
+    "zero-one-blocks": (
+        lambda: apply_morphism(zero_one_blocks(), universal_indexed_word()),
+        lambda: _morphism_symbols(zero_one_blocks()),
+    ),
+    "cyclic": (
+        lambda: apply_morphism(CYCLIC, universal_indexed_word()),
+        lambda: _morphism_symbols(CYCLIC),
+    ),
+    "ultper": (lambda: ultimately_periodic("011", "10"), lambda: _ultper_symbols("011", "10")),
+    "theorem1": (
+        lambda: theorem1_word(parse_machines(MACHINES_TEXT)),
+        lambda: theorem1_word(parse_machines(MACHINES_TEXT))._generate(),
+    ),
+}
+
+
+class TestSliceBuffer:
+    @pytest.mark.parametrize("name", sorted(WORDS))
+    def test_reads_match_per_symbol_source(self, name):
+        make, symbols = WORDS[name]
+        expected = tuple(islice(symbols(), SPAN))
+        shared = make()
+        for start in STARTS:
+            want = expected[start - 1 : start - 1 + READ]
+            assert tuple(islice(make().iter_from(start), READ)) == want, start
+            assert tuple(islice(shared.iter_from(start), READ)) == want, start
+        w = make()
+        at = w.symbol_index_at if name == "universal" else w.symbol_at
+        assert [at(i) for i in (5000, 1, 64, 1025)] == [expected[i - 1] for i in (5000, 1, 64, 1025)]
+        assert w.prefix(SPAN) == expected
+        assert w.prefix(0) == ()
+        if name != "universal":
+            assert make().segment(1000, 3000) == expected[999:3000]
+            assert w.segment(63, 1025) == expected[62:1025]
+
+    @pytest.mark.parametrize("name", ["champernowne-abc", "zero-one-blocks", "theorem1"])
+    def test_concurrent_readers_agree(self, name):
+        make, _ = WORDS[name]
+        expected = make().prefix(SPAN)
+        w = make()
+        barrier = threading.Barrier(4)
+        got = [None] * 4
+
+        def read(k):
+            barrier.wait()
+            got[k] = tuple(islice(w.iter_from(1), SPAN))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [expected] * 4
+
+    @pytest.mark.parametrize("name", ["champernowne-01", "universal", "ultper"])
+    def test_iter_from_zero_raises_at_the_call(self, name):
+        w = WORDS[name][0]()
+        with pytest.raises(IndexError):
+            w.iter_from(0)
+
+    def test_stall_raised_through_iter_from(self):
+        image = apply_morphism(zero_one_runs(), indexed_periodic((2, 1, 1, 1)), stall_limit=2)
+        with pytest.raises(MorphismStallError):
+            next(image.iter_from(2))
+
+    def test_short_source_raises_and_leaves_buffer_as_it_was(self):
+        w = InfiniteWord(BINARY, source=lambda: iter("0110"))
+        assert w.prefix(2) == ("0", "1")
+        with pytest.raises(RuntimeError):
+            w.prefix(10)
+        assert len(w._buf) == 2
+        assert w.prefix(2) == ("0", "1")
+        with pytest.raises(RuntimeError):
+            list(islice(w.iter_from(1), 10))
