@@ -5,14 +5,18 @@ Subcommands:
 * ``definitive <automaton-file> [--language]`` — print a definitive word
   (``DEFINITIVE=<word>``) and optionally the definitive-language automaton.
 * ``decide-prefix`` / ``decide-buchi`` — run the fuel-bounded deciders for
-  an automaton file against a generated infinite word (the diagonal word's
-  prefix decider needs no fuel).
+  an automaton file against a generated infinite word.  The diagonal word's
+  prefix decider needs no fuel, but it replays the word through the
+  automaton's own canonical stage, so without ``--fuel`` it only takes
+  automata whose stage lies in the one- and two-state blocks
+  (``THEOREM1_STAGE_LIMIT``, 66); others exit 3 asking for ``--fuel``.
 * ``decide-infinite`` — prefix/Büchi decisions for an effective automaton
   over the indexed alphabet along the universal indexed word.
 * ``rr`` — does a regular language meet a filter language?  Runs the full
   reduction through prefix realizability along the filter's enumeration
   word.
-* ``word dump`` — print a prefix of a generated word.
+* ``word dump`` — print a prefix of a generated word, at most
+  ``DUMP_LIMIT`` (10**7) symbols; a longer ``--upto`` exits 3.
 
 Decision subcommands print ``ANSWER=<Yes|No|FuelExhausted> EVIDENCE=<n>``
 as their first stdout line and encode the verdict in the exit status:
@@ -29,9 +33,12 @@ from typing import Callable
 
 from .automata import Alphabet, Dfa, regex_dfa, render_word
 from .bridge import (
+    BINARY,
     FilterLanguage,
     Theorem1Word,
+    canonical_state_count_block,
     decide_prefix_theorem1,
+    encode_dfa,
     parse_machines,
     rr_to_prefix,
     prefix_via_rr,
@@ -66,6 +73,15 @@ from .words import (
     ultimately_periodic,
     universal_indexed_word,
 )
+
+
+# Stage replay of the diagonal word grows about as the fourth power of the
+# stage: the last two-state stage (66) takes 0.16 s on a 2-vCPU VM, while a
+# three-state counter (stage 1,127) runs for hours.
+THEOREM1_STAGE_LIMIT = canonical_state_count_block(1) + canonical_state_count_block(2)
+
+# Longest prefix ``word dump`` prints; the whole prefix is built in memory.
+DUMP_LIMIT = 10**7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -182,6 +198,11 @@ def _cmd_decide(args: argparse.Namespace) -> int:
         raise ValueError("this generator yields symbol indices; use decide-infinite")
     if args.fuel is None and not args.buchi and isinstance(w, Theorem1Word):
         # The diagonal word settles prefix questions at a known stage: no fuel needed.
+        if a.alphabet == BINARY and (stage := encode_dfa(a)) > THEOREM1_STAGE_LIMIT:
+            raise ValueError(
+                f"the fuel-free theorem1 decider would replay the word through stage {stage}, "
+                f"past stage {THEOREM1_STAGE_LIMIT}; pass --fuel"
+            )
         return _report(decide_prefix_theorem1(a, w.machines, w, _tracer(args.trace)))
     if args.fuel is not None:
         fuel = Fuel(args.fuel)
@@ -214,6 +235,8 @@ def _cmd_rr(args: argparse.Namespace) -> int:
 
 
 def _cmd_word(args: argparse.Namespace) -> int:
+    if args.upto > DUMP_LIMIT:
+        raise ValueError(f"--upto {args.upto} exceeds the dump limit of {DUMP_LIMIT} symbols")
     w = _build_generator(args)
     prefix = w.prefix(args.upto)
     if isinstance(w, IndexedInfiniteWord):

@@ -14,6 +14,8 @@ original automaton on the morphism image of the indexed word.  States are
 augmented with one bit recording whether the last image crossed an
 accepting state (endpoints included); the bit is not sticky, which is
 enough because a Yes is declared at the first visit of a bit-1 state.
+Transition existence asks the image-language oracle about one flag product
+(state, passed-accepting bit) per source state, with the target as its accepting pair.
 """
 
 from __future__ import annotations
@@ -27,14 +29,11 @@ from .automata import (
     Automaton,
     Dfa,
     State,
+    Symbol,
     Word,
     as_dfa,
-    concatenate,
-    determinize,
-    difference,
-    empty_language,
+    explore,
     meets,
-    union,
 )
 from .decide import Fuel, Outcome, _negated, _resolve, _stretch
 from .definitive import definitive_fold
@@ -78,10 +77,20 @@ def reachable_closure(ea: EffectiveAutomaton, source: frozenset[State]) -> froze
 
 
 def effective_dead_locks(ea: EffectiveAutomaton) -> frozenset[State]:
-    """States whose reachable closure avoids the accepting set entirely."""
-    return frozenset(
-        q for q in ea.states if not (reachable_closure(ea, frozenset({q})) & ea.accepting)
-    )
+    """States from which no accepting state is reachable (including themselves).
+
+    One backward worklist from the accepting set: a state is alive once it has a
+    transition into an alive state, so the predicate is asked once per ordered pair.
+    """
+    alive = set(ea.accepting)
+    queue = deque(q for q in ea.states if q in alive)
+    while queue:
+        q = queue.popleft()
+        for p in ea.states:
+            if p not in alive and ea.exists_transition(p, q):
+                alive.add(p)
+                queue.append(p)
+    return frozenset(q for q in ea.states if q not in alive)
 
 
 class _DeltaTable:
@@ -202,50 +211,40 @@ def reduce_morphism_automaton(a: Dfa, phi: EffectiveMorphism) -> EffectiveAutoma
 
     ``delta(k, (q, _))`` runs ``a`` on the image of index k from q and sets
     the bit when the visited states (endpoints included) meet the accepting
-    set.  ``exists_transition`` is decided through the morphism's image
-    language oracle on path languages of ``a``: a bit-1 transition from q_i
-    to q_j exists iff some image lies in the union over accepting f of
-    R(i,f)R(f,j), and a bit-0 transition iff some image lies in R(i,j) minus
-    that union, where R(x,y) is the language of paths from x to y.
+    set.  ``exists_transition`` asks the morphism's image language oracle
+    about the flag product of ``a`` from the source state: pairs (state,
+    passed-accepting bit), starting at ``(q_i, q_i in F)`` and stepping
+    ``(q, b) -s-> (q', b or q' in F)``.  A transition to ``(q_j, bit)``
+    exists iff some image is accepted by that product with ``{(q_j, bit)}``
+    as its accepting set; a pair the product never reaches needs no oracle
+    call.  Each product is built once per source state.
     """
     if phi.image_language_oracle is None:
         raise ValueError("morphism carries no image language oracle")
     if phi.alphabet != a.alphabet:
         raise ValueError("morphism target alphabet differs from automaton alphabet")
     oracle = phi.image_language_oracle
+    accepting_states = a.accepting
 
-    def path_dfa(src: State, dst: State) -> Dfa:
-        return Dfa(a.alphabet, a.states, a.delta, src, frozenset({dst}))
+    def flag_step(qb: tuple[State, int], s: Symbol) -> tuple[State, int]:
+        q = a.delta[qb[0], s]
+        return q, 1 if qb[1] or q in accepting_states else 0
 
-    passing_cache: dict[tuple[State, State], Dfa] = {}
-
-    def passing_dfa(src: State, dst: State) -> Dfa:
-        """Determinized union over accepting f of R(src,f)R(f,dst)."""
-        key = (src, dst)
-        if key not in passing_cache:
-            parts = [concatenate(path_dfa(src, f), path_dfa(f, dst)) for f in a.accepting]
-            if not parts:
-                passing_cache[key] = empty_language(a.alphabet)
-            else:
-                combined = determinize(parts[0])
-                for part in parts[1:]:
-                    combined = union(combined, determinize(part))
-                passing_cache[key] = combined
-        return passing_cache[key]
-
+    products: dict[State, tuple[tuple, dict]] = {}
     exists_cache: dict[tuple[State, State, int], bool] = {}
 
     def exists(p: AugmentedState, q: AugmentedState) -> bool:
         key = (p.base, q.base, q.bit)
         if key not in exists_cache:
-            passing = passing_dfa(p.base, q.base)
-            if q.bit == 1:
-                exists_cache[key] = oracle(passing)
-            else:
-                exists_cache[key] = oracle(difference(path_dfa(p.base, q.base), passing))
+            if p.base not in products:
+                start = (p.base, 1 if p.base in accepting_states else 0)
+                products[p.base] = explore(a.alphabet, start, flag_step)
+            order, moves = products[p.base]
+            target = (q.base, q.bit)
+            exists_cache[key] = target in order and oracle(
+                Dfa(a.alphabet, order, moves, order[0], frozenset({target}))
+            )
         return exists_cache[key]
-
-    accepting_states = a.accepting
 
     def delta(k: int, p: AugmentedState) -> AugmentedState:
         image = phi.image(k)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
-from realizability.cli import main
+from realizability.cli import DUMP_LIMIT, THEOREM1_STAGE_LIMIT, main
 
 CONTAINS1 = """\
 alphabet: 0 1
@@ -71,6 +73,18 @@ COUNTER70 = "alphabet: 0 1\nstates: {}\ninitial: c0\naccepting: c69\n{}".format(
     "".join(f"trans: c{i} 0 c{i}\ntrans: c{i} 1 c{(i + 1) % 70}\n" for i in range(70)),
 )
 
+# Counts 1s mod 3 and accepts the count 2: canonical stage 1,127.
+COUNTER3 = "alphabet: 0 1\nstates: c0 c1 c2\ninitial: c0\naccepting: c2\n{}".format(
+    "".join(f"trans: c{i} 0 c{i}\ntrans: c{i} 1 c{(i + 1) % 3}\n" for i in range(3)),
+)
+
+
+def assert_one_error_line(code: int, captured) -> None:
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -82,6 +96,9 @@ def files(tmp_path):
         ("eff.txt", EFFECTIVE),
         ("machines.txt", MACHINES),
         ("counter70.aut", COUNTER70),
+        ("counter3.aut", COUNTER3),
+        ("bad.ea", EFFECTIVE.replace("etrans: q1 q1 all", "etrans: q1 zz all")),
+        ("bad.aut", CONTAINS1.replace("trans: s1 1 s1", "trans: s1 1 s9")),
     ]:
         p = tmp_path / name
         p.write_text(text)
@@ -219,6 +236,21 @@ class TestDecidePrefix:
         assert captured.out == "ANSWER=Yes EVIDENCE=1\n"
         assert captured.err == "0 s0\n1 s1\n"
 
+    def test_theorem1_without_fuel_refuses_stages_past_two_states(self, files, capsys):
+        args = ["decide-prefix", "--gen", "theorem1", "--machines", files["machines.txt"]]
+        started = time.perf_counter()
+        code = main(args + ["--automaton", files["counter3.aut"]])
+        assert time.perf_counter() - started < 5
+        captured = capsys.readouterr()
+        assert_one_error_line(code, captured)
+        assert "stage 1127" in captured.err
+        assert f"past stage {THEOREM1_STAGE_LIMIT}" in captured.err
+        assert "--fuel" in captured.err
+        assert THEOREM1_STAGE_LIMIT == 66
+        code = main(args + ["--automaton", files["contains1.aut"]])
+        assert code == 0
+        assert capsys.readouterr().out == "ANSWER=Yes EVIDENCE=1\n"
+
     def test_theorem1_buchi_still_needs_fuel(self, files, capsys):
         code = main(
             ["decide-buchi", "--automaton", files["contains1.aut"], "--gen", "theorem1",
@@ -292,6 +324,10 @@ class TestDecideInfinite:
         assert code == 0
         assert out == "ANSWER=Yes EVIDENCE=1\n"
 
+    def test_malformed_effective_file(self, files, capsys):
+        code = main(["decide-infinite", "--effective", files["bad.ea"]])
+        assert_one_error_line(code, capsys.readouterr())
+
 
 class TestRr:
     def test_yes(self, files, capsys):
@@ -320,6 +356,10 @@ class TestRr:
         assert code == 0
         assert captured.out == "ANSWER=Yes EVIDENCE=2\n"
         assert "trans:" in captured.err
+
+    def test_malformed_filter_file(self, files, capsys):
+        code = main(["rr", "--filter", files["bad.aut"], "--regex", "00"])
+        assert_one_error_line(code, capsys.readouterr())
 
     def test_regex_and_automaton_are_exclusive(self, files, capsys):
         code = main(
@@ -376,6 +416,14 @@ class TestWordDump:
         # indexed word starts 1, 2, 1, 1: images 01, 1, 01, 01
         assert out == "011010\n"
 
+    def test_upto_past_the_limit_generates_nothing(self, capsys):
+        started = time.perf_counter()
+        code = main(["word", "dump", "--gen", "champernowne", "--upto", str(10**12)])
+        assert time.perf_counter() - started < 1
+        captured = capsys.readouterr()
+        assert_one_error_line(code, captured)
+        assert str(DUMP_LIMIT) in captured.err
+
     def test_theorem1(self, files, capsys):
         code = main(
             [
@@ -426,9 +474,17 @@ class TestErrors:
         assert "error:" in captured.err
 
     def test_indexed_generator_rejected_by_decide(self, files, capsys):
+        code = main(
+            ["decide-prefix", "--automaton", files["contains1.aut"], "--gen", "universal-indexed"]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+
+    def test_dump_upto_zero_prints_an_empty_line(self, capsys):
         code = main(["word", "dump", "--gen", "champernowne", "--upto", "0"])
-        capsys.readouterr()
         assert code == 0
+        assert capsys.readouterr().out == "\n"
 
     def test_no_arguments(self, capsys):
         code = main([])
@@ -441,8 +497,4 @@ class TestErrors:
     def test_negative_upto_is_an_error_not_a_no(self, gen, capsys):
         # an escaping exception would exit with 1, which reads as "No"
         code = main(["word", "dump", "--gen", *gen, "--upto", "-3"])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out == ""
-        assert captured.err.startswith("error:")
-        assert len(captured.err.splitlines()) == 1
+        assert_one_error_line(code, capsys.readouterr())

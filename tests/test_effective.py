@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import functools
 import random
 import sys
 from collections import deque
 
 import pytest
 
+import realizability.effective as effective_module
 from helpers import BINARY, random_dfa
 from realizability import (
+    Alphabet,
     AugmentedState,
+    Dfa,
     EffectiveAutomaton,
     EffectiveMorphism,
     EffectiveFormatError,
+    FilterLanguage,
     FuelExhausted,
     IndexSet,
     Verdict,
@@ -22,15 +27,23 @@ from realizability import (
     decide_prefix_infinite,
     decide_prefix_morphism,
     definitive_index_sequence,
+    concatenate,
     delta_relation,
     derived_fuel,
+    determinize,
+    difference,
     effective_dead_locks,
     effective_from_index_sets,
+    empty_language,
+    filter_to_word,
     find_transition_witness,
     indexed_periodic,
     parse_effective,
     reachable_closure,
     reduce_morphism_automaton,
+    regex_dfa,
+    rr_pipeline,
+    union,
     universal_indexed_word,
     zero_one_blocks,
     zero_one_runs,
@@ -278,6 +291,129 @@ class TestDefinitiveIndexSequenceDifferential:
         for _ in range(12):
             ea = reduce_morphism_automaton(random_dfa(rng, max_states=3), phi)
             assert definitive_index_sequence(ea) == eager_index_sequence(ea)
+
+
+def reference_reduction(a: Dfa, phi: EffectiveMorphism) -> EffectiveAutomaton:
+    """The reduction with its earlier existence test: a bit-1 transition from
+    q_i to q_j exists iff some image lies in the union over accepting f of
+    R(i,f)R(f,j), a bit-0 one iff some image lies in R(i,j) minus that
+    union, both built by concatenation, determinization, union and
+    difference (R(x,y) is the language of paths from x to y)."""
+    fast = reduce_morphism_automaton(a, phi)
+    oracle = phi.image_language_oracle
+
+    def path_dfa(src, dst):
+        return Dfa(a.alphabet, a.states, a.delta, src, frozenset({dst}))
+
+    @functools.cache
+    def passing_dfa(src, dst):
+        parts = [concatenate(path_dfa(src, f), path_dfa(f, dst)) for f in a.accepting]
+        if not parts:
+            return empty_language(a.alphabet)
+        combined = determinize(parts[0])
+        for part in parts[1:]:
+            combined = union(combined, determinize(part))
+        return combined
+
+    @functools.cache
+    def exists(p, q):
+        passing = passing_dfa(p.base, q.base)
+        if q.bit == 1:
+            return oracle(passing)
+        return oracle(difference(path_dfa(p.base, q.base), passing))
+
+    return EffectiveAutomaton(fast.states, fast.delta, exists, fast.initial, fast.accepting)
+
+
+def reference_dead_locks(ea: EffectiveAutomaton) -> frozenset:
+    """States whose forward closure, one per state, avoids the accepting set."""
+    return frozenset(q for q in ea.states if not (reachable_closure(ea, frozenset({q})) & ea.accepting))
+
+
+SIGMA_HASH = Alphabet(("0", "1", "#"))
+
+REDUCTION_MORPHISMS = {
+    "runs": (zero_one_runs, BINARY),
+    "blocks": (zero_one_blocks, BINARY),
+    "cyclic": (lambda: EffectiveMorphism.index_periodic(["01", "1", ""], BINARY), BINARY),
+    "filter": (lambda: filter_to_word(FilterLanguage.from_dfa(regex_dfa(".*11.*", BINARY)))[0], SIGMA_HASH),
+}
+
+
+def via_reference(monkeypatch, decide):
+    """``decide()`` with the library routed through the reference reduction and closures."""
+    with monkeypatch.context() as patch:
+        patch.setattr(effective_module, "reduce_morphism_automaton", reference_reduction)
+        patch.setattr(effective_module, "effective_dead_locks", reference_dead_locks)
+        return decide()
+
+
+class TestFlagProductDifferential:
+    @pytest.mark.parametrize("name", sorted(REDUCTION_MORPHISMS))
+    def test_exists_matrix_and_dead_locks(self, name):
+        morphism, alphabet = REDUCTION_MORPHISMS[name]
+        phi = morphism()
+        rng = random.Random(f"flag-product/{name}")
+        for _ in range(10):
+            a = random_dfa(rng, max_states=4, alphabet=alphabet)
+            fast, ref = reduce_morphism_automaton(a, phi), reference_reduction(a, phi)
+            matrix = {(p, q): fast.exists_transition(p, q) for p in fast.states for q in fast.states}
+            assert matrix == {(p, q): ref.exists_transition(p, q) for p in ref.states for q in ref.states}, a
+            assert effective_dead_locks(fast) == reference_dead_locks(ref), a
+
+    @pytest.mark.parametrize("name", sorted(REDUCTION_MORPHISMS))
+    def test_morphism_verdicts(self, name, monkeypatch):
+        morphism, alphabet = REDUCTION_MORPHISMS[name]
+        phi, w = morphism(), universal_indexed_word()
+        rng = random.Random(f"flag-verdicts/{name}")
+        for _ in range(8):
+            a = random_dfa(rng, max_states=4, alphabet=alphabet)
+
+            def decide():
+                return decide_prefix_morphism(a, phi, w), decide_buchi_morphism(a, phi, w)
+
+            assert decide() == via_reference(monkeypatch, decide), a
+
+    @pytest.mark.parametrize("pattern", ["0+", "(01)*", ".*11.*"])
+    def test_rr_pipeline_verdicts(self, pattern, monkeypatch):
+        lang = FilterLanguage.from_dfa(regex_dfa(pattern, BINARY))
+        rng = random.Random(f"flag-rr/{pattern}")
+        for _ in range(6):
+            r = random_dfa(rng, max_states=3)
+            assert rr_pipeline(r, lang) == via_reference(monkeypatch, lambda: rr_pipeline(r, lang)), r
+
+    def test_unreachable_target_skips_the_oracle(self, a_contains1):
+        calls = []
+        phi = zero_one_runs()
+        counted = EffectiveMorphism(BINARY, phi.image, lambda r: calls.append(r) or phi.image_language_oracle(r))
+        ea = reduce_morphism_automaton(a_contains1, counted)
+        # from the absorbing accepting s1 the product never reaches s0 nor bit 0
+        assert not ea.exists_transition(AugmentedState("s1", 0), AugmentedState("s0", 1))
+        assert not ea.exists_transition(AugmentedState("s1", 1), AugmentedState("s1", 0))
+        assert calls == []
+        assert ea.exists_transition(AugmentedState("s1", 0), AugmentedState("s1", 1))
+        assert len(calls) == 1
+
+
+def random_effective_text(rng: random.Random) -> str:
+    """A seeded effective automaton: per source, residues mod m split among targets."""
+    states = [f"q{i}" for i in range(rng.randint(1, 5))]
+    lines = [f"states: {' '.join(states)}", "initial: q0",
+             f"accepting: {' '.join(q for q in states if rng.random() < 0.3)}"]
+    for src in states:
+        modulus = rng.randint(1, 3)
+        for residue in range(modulus):
+            if rng.random() < 0.8:
+                lines.append(f"etrans: {src} {rng.choice(states)} {residue}%{modulus}")
+    return "\n".join(lines) + "\n"
+
+
+def test_dead_locks_match_forward_closures_on_parsed_automata():
+    rng = random.Random(449)
+    for _ in range(200):
+        text = random_effective_text(rng)
+        ea = parse_effective(text)
+        assert effective_dead_locks(ea) == reference_dead_locks(ea), text
 
 
 class TestParseEffective:
