@@ -404,32 +404,32 @@ def as_dfa(a: Automaton) -> Dfa:
 
 
 def shortlex_smallest(a: Automaton) -> Word | None:
-    """Shortlex-least accepted word, or None when the language is empty.
+    """Shortlex-least accepted word, or None when the language is empty."""
+    if isinstance(a, Nfa):
+        return shortlex_search(a.alphabet, a.initials, lambda S: bool(S & a.accepting), _subset_step(a))
+    return shortlex_search(a.alphabet, a.initial, a.accepting.__contains__, lambda q, s: a.delta[(q, s)])
+
+
+def shortlex_search(
+    alphabet: Alphabet, start: Any, is_target: Callable[[Any], bool], step: Callable[[Any, Symbol], Any]
+) -> Word | None:
+    """Shortlex-least word leading ``step`` from ``start`` to a target, or None.
 
     Breadth-first search expanding symbols in alphabet order visits words in
-    shortlex order, so the first accepting hit is the answer.
+    shortlex order, so the first target hit is the answer.
     """
-    if isinstance(a, Nfa):
-        start: Any = a.initials
-        is_accepting = lambda S: bool(S & a.accepting)
-        step = _subset_step(a)
-    else:
-        start = a.initial
-        is_accepting = lambda q: q in a.accepting
-        step = lambda q, s: a.delta[(q, s)]
-
-    if is_accepting(start):
+    if is_target(start):
         return EPSILON
     seen = {start}
     queue = deque([(start, EPSILON)])
     while queue:
         q, w = queue.popleft()
-        for s in a.alphabet:
+        for s in alphabet:
             r = step(q, s)
             if r in seen:
                 continue
             seen.add(r)
-            if is_accepting(r):
+            if is_target(r):
                 return w + (s,)
             queue.append((r, w + (s,)))
     return None

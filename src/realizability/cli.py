@@ -6,7 +6,7 @@ Subcommands:
   (``DEFINITIVE=<word>``) and optionally the definitive-language automaton.
 * ``decide-prefix`` / ``decide-buchi`` — run the fuel-bounded deciders for
   an automaton file against a generated infinite word.  The diagonal word's
-  prefix decider needs no fuel, but it replays the word through the
+  prefix decider needs no fuel, but it builds the word through the
   automaton's own canonical stage, so without ``--fuel`` it only takes
   automata whose stage lies in the one- and two-state blocks
   (``THEOREM1_STAGE_LIMIT``, 66); others exit 3 asking for ``--fuel``.
@@ -75,9 +75,9 @@ from .words import (
 )
 
 
-# Stage replay of the diagonal word grows about as the fourth power of the
-# stage: the last two-state stage (66) takes 0.16 s on a 2-vCPU VM, while a
-# three-state counter (stage 1,127) runs for hours.
+# The diagonal word's prefix through stage n holds about n^3/6 symbols, all
+# buffered in memory: stage 66 holds 54,382, while a three-state counter
+# (stage 1,127) would need about 2.4e8, gigabytes of buffer.
 THEOREM1_STAGE_LIMIT = canonical_state_count_block(1) + canonical_state_count_block(2)
 
 # Longest prefix ``word dump`` prints; the whole prefix is built in memory.
@@ -200,7 +200,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
         # The diagonal word settles prefix questions at a known stage: no fuel needed.
         if a.alphabet == BINARY and (stage := encode_dfa(a)) > THEOREM1_STAGE_LIMIT:
             raise ValueError(
-                f"the fuel-free theorem1 decider would replay the word through stage {stage}, "
+                f"the fuel-free theorem1 decider would build the word through stage {stage}, "
                 f"past stage {THEOREM1_STAGE_LIMIT}; pass --fuel"
             )
         return _report(decide_prefix_theorem1(a, w.machines, w, _tracer(args.trace)))

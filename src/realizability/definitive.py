@@ -10,7 +10,6 @@ decisions against sufficiently rich infinite words possible.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -19,11 +18,11 @@ from .automata import (
     State,
     Symbol,
     Word,
-    EPSILON,
     as_word,
     dead_lock_states,
     explore,
     relabel_bfs,
+    shortlex_search,
     shortlex_smallest,
     with_initial,
 )
@@ -129,6 +128,21 @@ def find_definitive_word(a: Dfa) -> Word:
     )
 
 
+def _absorption(a: Dfa) -> tuple[tuple, Callable[[tuple, Symbol], tuple], Callable[[tuple], bool]]:
+    """Start vector, step and fully-absorbed test of the product of absorbed
+    copies of ``a`` that ``definitive_witness`` describes."""
+    target = a.accepting | dead_lock_states(a)
+    done = object()
+
+    def absorb(q: State):
+        return done if q in target else q
+
+    def step(vec: tuple, s: Symbol) -> tuple:
+        return tuple(c if c is done else absorb(a.delta[(c, s)]) for c in vec)
+
+    return tuple(absorb(q) for q in a.states), step, lambda vec: all(c is done for c in vec)
+
+
 def definitive_witness(a: Dfa) -> Word | None:
     """Shortlex-least definitive word, without materializing the language.
 
@@ -140,28 +154,8 @@ def definitive_witness(a: Dfa) -> Word | None:
     total automata (every automaton admits one), but the search is honest
     anyway.
     """
-    target = a.accepting | dead_lock_states(a)
-    done = object()
-
-    def absorb(q: State):
-        return done if q in target else q
-
-    initial = tuple(absorb(q) for q in a.states)
-    if all(c is done for c in initial):
-        return EPSILON
-    seen = {initial}
-    queue = deque([(initial, EPSILON)])
-    while queue:
-        vec, word = queue.popleft()
-        for s in a.alphabet:
-            nxt = tuple(c if c is done else absorb(a.delta[(c, s)]) for c in vec)
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            if all(c is done for c in nxt):
-                return word + (s,)
-            queue.append((nxt, word + (s,)))
-    return None
+    initial, step, absorbed = _absorption(a)
+    return shortlex_search(a.alphabet, initial, absorbed, step)
 
 
 def definitive_language(a: Dfa) -> Dfa:
@@ -173,17 +167,8 @@ def definitive_language(a: Dfa) -> Dfa:
     The product is explored on reachable absorption vectors only and
     relabeled breadth-first.
     """
-    target = a.accepting | dead_lock_states(a)
-    done = object()
-
-    def absorb(q: State):
-        return done if q in target else q
-
-    def step(vec: tuple, s: Symbol) -> tuple:
-        return tuple(c if c is done else absorb(a.delta[(c, s)]) for c in vec)
-
-    initial = tuple(absorb(q) for q in a.states)
+    initial, step, absorbed = _absorption(a)
     order, delta = explore(a.alphabet, initial, step)
-    accepting = frozenset(vec for vec in order if all(c is done for c in vec))
+    accepting = frozenset(vec for vec in order if absorbed(vec))
     product = Dfa(a.alphabet, order, delta, initial, accepting)
     return relabel_bfs(product, prefix="d", start=0)

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
+from math import gcd
 from typing import Callable, NamedTuple
 
 from .automata import (
@@ -317,6 +319,25 @@ class IndexSet:
     def is_empty(self) -> bool:
         return not self.progressions and not self.include
 
+    def shared_index(self, other: "IndexSet") -> int | None:
+        """Least index in both sets, or None when they are disjoint.
+
+        Progressions ``r1 % m1`` and ``r2 % m2`` meet exactly when r1 = r2
+        (mod g), g = gcd(m1, m2), in a class modulo lcm(m1, m2) that finitely
+        many exclusions cannot empty.
+        """
+        found = [k for k in self.include | other.include if k in self and k in other]
+        for r1, m1 in self.progressions:
+            for r2, m2 in other.progressions:
+                g = gcd(m1, m2)
+                if (r2 - r1) % g == 0:
+                    lcm = m1 // g * m2
+                    k = (r1 + m1 * ((r2 - r1) // g * pow(m1 // g, -1, m2 // g))) % lcm or lcm
+                    while k not in self or k not in other:
+                        k += lcm
+                    found.append(k)
+        return min(found, default=None)
+
     @classmethod
     def parse(cls, tokens: list[str]) -> "IndexSet":
         """Tokens: ``all``, ``R%M`` (residue class), ``+K`` include, ``-K`` exclude."""
@@ -346,10 +367,15 @@ def effective_from_index_sets(
 ) -> EffectiveAutomaton:
     """Build an effective automaton from per-state (index set -> target) rules.
 
-    For each source state the first rule containing the index applies; the
-    rule sets of one source are expected to be disjoint so that transition
-    existence is the plain non-emptiness of each rule's set.
+    The rule sets of one source must be disjoint, so that the rule
+    containing an index is unique and transition existence is the plain
+    non-emptiness of each rule's set; overlapping sets raise ValueError
+    naming the source state and their least shared index.
     """
+    for q, row in rules.items():
+        for (first, _), (later, _) in combinations(row, 2):
+            if (k := first.shared_index(later)) is not None:
+                raise ValueError(f"index sets of state {q!r} overlap at index {k}")
 
     def delta(k: int, q: State) -> State:
         if k < 1:

@@ -3,7 +3,9 @@
 Positions are 1-based throughout: ``W[1, n]`` is the length-n prefix and the
 empty prefix is position 0.  Words are represented by a memoizing buffer fed
 from either a symbol stream or a direct index formula, so repeated decisions
-against the same word never recompute symbols.  Symbols move in slices: the
+against the same word never recompute symbols.  Streams are chained from
+chunks (Champernowne yields one length block, a morphism image word one
+image, the diagonal word of ``bridge`` one stage).  Symbols move in slices: the
 buffer pulls a stretch from its source with one ``list.extend``, and
 ``iter_from`` reads it back in slices of 64 symbols doubling to 1024,
 extending it only at its end, so a reader runs at most 1024 symbols ahead.

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from conftest import MACHINES_TEXT
 from helpers import BINARY, random_dfa
 from realizability import (
     Alphabet,
@@ -40,12 +41,14 @@ from realizability import (
     relabel_bfs,
     rr_pipeline,
     rr_to_prefix,
+    shortlex_smallest,
     split_blocks,
     theorem1_word,
     union,
     with_initial,
     words_upto,
 )
+from realizability.bridge import Stage, _block_rows, _patch_word
 
 
 class TestFilterLanguage:
@@ -400,6 +403,90 @@ class TestTheorem1Word:
                 allowed = block_word_dfa(forbidden)
                 possible = intersect(passes, allowed)
                 assert q in a.accepting or is_empty(possible) or passes.accepts(())
+
+
+# Machines halting after 0, 1 and 5 steps: stages 1 and 2 are empty, and from
+# stage 5 on every patch must avoid ranks 1, 2 and 3.
+HALTING_TEXT = """\
+machine: halts-at-once
+start: h
+
+machine: halts-after-one
+start: s0
+trans: s0 _ x R s1
+
+machine: halts-after-five
+start: s0
+trans: s0 _ x R s1
+trans: s1 _ x R s2
+trans: s2 _ x R s3
+trans: s3 _ x R s4
+trans: s4 _ x R s5
+"""
+
+
+def reference_stages(machines: MachineList, upto: int) -> tuple[list[Stage], tuple]:
+    """Stages 1..upto and their prefix the slow way: each stage's automaton
+    replays the whole symbol prefix, and its patch is the shortlex-least word
+    of a product of throwaway automata."""
+    stages: list[Stage] = []
+    prefix: list[str] = []
+    for n in range(1, upto + 1):
+        alive = machines.alive_at(n)
+        machine_word = tuple(s for k in alive for s in Block(k).word)
+        automaton = decode_dfa(n)
+        delta = automaton.delta
+        q = automaton.initial
+        for s in prefix:
+            q = delta[(q, s)]
+        for s in machine_word:
+            q = delta[(q, s)]
+        forbidden = frozenset(
+            k for k in range(1, min(n, len(machines)) + 1) if machines.halts_within(k, n)
+        )
+        passes = absorbing_accepting(with_initial(automaton, q))
+        patch = shortlex_smallest(intersect(passes, block_word_dfa(forbidden)))
+        patch_word = patch if patch is not None else ()
+        prefix.extend(machine_word)
+        prefix.extend(patch_word)
+        ranks = tuple(split_blocks(patch_word))
+        stages.append(Stage(n, alive, machine_word, patch_word, ranks, len(prefix)))
+    return stages, tuple(prefix)
+
+
+class TestBlockReplay:
+    @pytest.mark.parametrize("text", [MACHINES_TEXT, HALTING_TEXT], ids=["gate", "halting"])
+    def test_stages_match_symbol_replay(self, text):
+        expected, prefix = reference_stages(parse_machines(text), 140)
+        w = theorem1_word(parse_machines(text))
+        assert [w.stage(n) for n in range(1, 141)] == expected
+        assert w.prefix(len(prefix)) == prefix
+
+    def test_halting_list_forbids_ranks(self):
+        w = theorem1_word(parse_machines(HALTING_TEXT))
+        assert w.stage(1).end == w.stage(2).end == 0
+        assert any(w.stage(n).patch_ranks for n in range(5, 141))
+        for n in range(5, 141):
+            assert not {1, 2, 3} & set(w.stage(n).patch_ranks)
+
+    def test_block_rows_match_dfa_run(self):
+        rng = random.Random(801)
+        for _ in range(200):
+            a = random_dfa(rng, max_states=5)
+            rows = _block_rows(a, 15)
+            for q in a.states:
+                assert rows[q] == [a.run(Block(m).word, q) for m in range(16)]
+
+    def test_patch_matches_product_search(self):
+        rng = random.Random(802)
+        for _ in range(300):
+            a = random_dfa(rng, max_states=4, accept_p=0.3)
+            forbidden = frozenset(k for k in range(1, 6) if rng.random() < 0.4)
+            allowed = block_word_dfa(forbidden)
+            for q in a.states:
+                passes = absorbing_accepting(with_initial(a, q))
+                expected = shortlex_smallest(intersect(passes, allowed))
+                assert _patch_word(a, q, allowed) == (expected or ()), (a, q, forbidden)
 
 
 class TestDecideTheorem1:

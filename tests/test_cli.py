@@ -98,6 +98,7 @@ def files(tmp_path):
         ("counter70.aut", COUNTER70),
         ("counter3.aut", COUNTER3),
         ("bad.ea", EFFECTIVE.replace("etrans: q1 q1 all", "etrans: q1 zz all")),
+        ("overlap.ea", EFFECTIVE.replace("0%2", "all").replace("1%2", "all")),
         ("bad.aut", CONTAINS1.replace("trans: s1 1 s1", "trans: s1 1 s9")),
     ]:
         p = tmp_path / name
@@ -327,6 +328,15 @@ class TestDecideInfinite:
     def test_malformed_effective_file(self, files, capsys):
         code = main(["decide-infinite", "--effective", files["bad.ea"]])
         assert_one_error_line(code, capsys.readouterr())
+
+    @pytest.mark.parametrize("fuel", [[], ["--fuel", "1000"]], ids=["derived", "explicit"])
+    def test_overlapping_rules_are_an_error(self, files, capsys, fuel):
+        # q0 -> q0 on every index shadows q0 -> q1, so the answer would be No at 0;
+        # such a file is refused instead of scanned or read as FuelExhausted
+        code = main(["decide-infinite", "--effective", files["overlap.ea"], *fuel])
+        captured = capsys.readouterr()
+        assert_one_error_line(code, captured)
+        assert "overlap at index 1" in captured.err
 
 
 class TestRr:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 import random
 import sys
 from collections import deque
@@ -102,6 +103,36 @@ class TestIndexSet:
         assert IndexSet.parse(["all"]) == IndexSet(((0, 1),))
         with pytest.raises(ValueError):
             IndexSet.parse(["garbage"])
+
+    def test_shared_index_examples(self):
+        assert IndexSet(((0, 1),)).shared_index(IndexSet(((0, 1),))) == 1
+        assert IndexSet(((0, 2),)).shared_index(IndexSet(((1, 2),))) is None
+        assert IndexSet(((1, 4),)).shared_index(IndexSet(((3, 6),))) == 9
+        assert IndexSet(((1, 4),)).shared_index(IndexSet(((2, 6),))) is None
+        assert IndexSet(((0, 1),), exclude=frozenset({4})).shared_index(IndexSet((), frozenset({4}))) is None
+        assert IndexSet(((0, 3),), exclude=frozenset({3, 6})).shared_index(IndexSet(((0, 1),))) == 9
+
+    def test_shared_index_against_membership(self):
+        rng = random.Random(808)
+
+        def draw() -> IndexSet:
+            progressions = tuple(
+                (rng.randrange(m), m) for m in (rng.randint(1, 6) for _ in range(rng.randint(0, 2)))
+            )
+            include = frozenset(rng.sample(range(1, 25), rng.randint(0, 2)))
+            exclude = frozenset(rng.sample(range(1, 25), rng.randint(0, 4))) - include
+            return IndexSet(progressions, include, exclude)
+
+        overlapping = 0
+        for _ in range(2000):
+            a, b = draw(), draw()
+            moduli = [m for _, m in a.progressions + b.progressions]
+            upto = max(a.include | a.exclude | b.include | b.exclude, default=0) + math.lcm(*moduli)
+            shared = [k for k in range(1, upto + 1) if k in a and k in b]
+            assert a.shared_index(b) == (shared[0] if shared else None), (a, b)
+            assert b.shared_index(a) == a.shared_index(b)
+            overlapping += bool(shared)
+        assert 200 < overlapping < 1800
 
 
 class TestEffectiveStructure:
@@ -451,6 +482,14 @@ class TestParseEffective:
         bad = FIXTURE_TEXT.replace("all", "sometimes")
         with pytest.raises(EffectiveFormatError):
             parse_effective(bad)
+
+    def test_overlapping_rules_rejected(self):
+        text = "states: q0 q1\ninitial: q0\naccepting: q1\netrans: q0 q0 all\netrans: q0 q1 all\n"
+        with pytest.raises(ValueError, match="state 'q0' overlap at index 1"):
+            parse_effective(text)
+        rules = {"q0": [(IndexSet(((1, 4),)), "q0"), (IndexSet(((3, 6),), exclude=frozenset({9})), "q0")]}
+        with pytest.raises(ValueError, match="overlap at index 21"):
+            effective_from_index_sets(("q0",), rules, "q0", frozenset())
 
     def test_delta_without_rule_fails(self):
         text = "states: a b\ninitial: a\naccepting: b\netrans: a b all\n"

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
-from itertools import count, islice, product
+from itertools import chain, count, islice, product
 
 import pytest
 
@@ -265,7 +265,7 @@ WORDS = {
     "ultper": (lambda: ultimately_periodic("011", "10"), lambda: _ultper_symbols("011", "10")),
     "theorem1": (
         lambda: theorem1_word(parse_machines(MACHINES_TEXT)),
-        lambda: theorem1_word(parse_machines(MACHINES_TEXT))._generate(),
+        lambda: chain.from_iterable(theorem1_word(parse_machines(MACHINES_TEXT))._generate()),
     ),
 }
 
