@@ -191,19 +191,9 @@ def with_initial(a: Dfa, q: State) -> Dfa:
 
 def reachable_states(a: Dfa, start: State | None = None) -> list[State]:
     """States reachable from ``start`` in breadth-first symbol order."""
-    q0 = a.initial if start is None else start
-    seen = {q0}
-    order = [q0]
-    queue = deque([q0])
-    while queue:
-        q = queue.popleft()
-        for s in a.alphabet:
-            r = a.delta[(q, s)]
-            if r not in seen:
-                seen.add(r)
-                order.append(r)
-                queue.append(r)
-    return order
+    delta = a.delta
+    order, _ = explore(a.alphabet, a.initial if start is None else start, lambda q, s: delta[q, s])
+    return list(order)
 
 
 def dead_lock_states(a: Dfa) -> frozenset[State]:
@@ -227,13 +217,13 @@ def relabel_bfs(a: Dfa, prefix: str = "q", start: int = 1) -> Dfa:
 
     Unreachable states are dropped; the language is unchanged.
     """
-    order = reachable_states(a)
+    delta = a.delta
+    order, reached = explore(a.alphabet, a.initial, lambda q, s: delta[q, s])
     name = {q: f"{prefix}{start + i}" for i, q in enumerate(order)}
-    delta = {(name[q], s): name[a.delta[(q, s)]] for q in order for s in a.alphabet}
     return Dfa(
         a.alphabet,
-        tuple(name[q] for q in order),
-        delta,
+        tuple(name.values()),
+        {(name[q], s): name[r] for (q, s), r in reached.items()},
         name[a.initial],
         frozenset(name[q] for q in order if q in a.accepting),
     )

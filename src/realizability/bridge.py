@@ -504,16 +504,33 @@ def _patch_word(a: Dfa, q: State, blocks: Dfa) -> Word:
     return patch if patch is not None else EPSILON
 
 
+def _blocks_word(ranks: tuple[int, ...]) -> Word:
+    """The concatenation of the blocks of the given ranks."""
+    return tuple(chain.from_iterable(Block(k).word for k in ranks))
+
+
 @dataclass(frozen=True)
 class Stage:
-    """Record of one generation stage of the diagonal word."""
+    """Record of one generation stage of the diagonal word.
+
+    A stage is stored as its block ranks only; its two words are rebuilt
+    from them on demand, so the symbols are held once, in the word's buffer.
+    """
 
     n: int
     alive: tuple[int, ...]  # machines still running after n steps
-    machine_word: Word  # one block per alive machine, ranks ascending
-    patch_word: Word  # accepting-passage patch for the n-th automaton
-    patch_ranks: tuple[int, ...]
+    patch_ranks: tuple[int, ...]  # blocks of the patch, in order
     end: int  # position of the stage's last symbol
+
+    @property
+    def machine_word(self) -> Word:
+        """One block per alive machine, ranks ascending."""
+        return _blocks_word(self.alive)
+
+    @property
+    def patch_word(self) -> Word:
+        """Accepting-passage patch for the n-th automaton."""
+        return _blocks_word(self.patch_ranks)
 
 
 class Theorem1Word(InfiniteWord):
@@ -542,16 +559,16 @@ class Theorem1Word(InfiniteWord):
             q = automaton.initial
             for m in chain(ranks, alive):
                 q = rows[q][m]
-            machine_word: Word = tuple(chain.from_iterable(Block(k).word for k in alive))
             patch_word = _patch_word(automaton, q, blocks[forbidden])
             patch_ranks = tuple(split_blocks(patch_word))
             assert not (set(patch_ranks) & forbidden), "patch uses a forbidden block"
-            emitted += len(machine_word) + len(patch_word)
-            self._stages.append(Stage(n, alive, machine_word, patch_word, patch_ranks, emitted))
+            stage_word = _blocks_word(alive) + patch_word
+            emitted += len(stage_word)
+            self._stages.append(Stage(n, alive, patch_ranks, emitted))
             ranks.extend(alive)
             ranks.extend(patch_ranks)
             top = max((top, *patch_ranks))
-            yield machine_word + patch_word
+            yield stage_word
 
     def ensure_stage(self, n: int) -> Stage:
         stages = self._stages

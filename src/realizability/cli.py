@@ -76,8 +76,9 @@ from .words import (
 
 
 # The diagonal word's prefix through stage n holds about n^3/6 symbols, all
-# buffered in memory: stage 66 holds 54,382, while a three-state counter
-# (stage 1,127) would need about 2.4e8, gigabytes of buffer.
+# buffered in memory once (a stage record keeps only block ranks), at about
+# 8 bytes a symbol: stage 66 holds 54,382, while a three-state counter
+# (stage 1,127) would need about 2.4e8, nearly 2 GB of buffer.
 THEOREM1_STAGE_LIMIT = canonical_state_count_block(1) + canonical_state_count_block(2)
 
 # Longest prefix ``word dump`` prints; the whole prefix is built in memory.

@@ -1,26 +1,27 @@
 """Acceptance of ultimately periodic words by omega-automata.
 
 A Buchi automaton is an Nfa read with omega-semantics (some run visits an
-accepting state infinitely often).  Muller automata are deterministic and
-accept when the set of states visited infinitely often is a member of the
-acceptance family.  On an ultimately periodic word ``u v^omega`` both
-conditions reduce to finite cycle analysis, so the deciders here are exact.
+accepting state infinitely often).  A Muller automaton is a Dfa plus an
+acceptance family of state sets: it accepts when the set of states its run
+visits infinitely often is a member of the family; every run steps that
+Dfa.  On an ultimately periodic word ``u v^omega`` both conditions reduce to
+finite cycle analysis, so the deciders here are exact.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 from .automata import (
     Alphabet,
     Automaton,
     Dfa,
-    Nfa,
     State,
     Symbol,
     Word,
+    _check_word,
     as_word,
     determinize,
     explore,
@@ -35,6 +36,8 @@ class MullerAutomaton:
 
     A macrostate is a set of states; the automaton accepts an infinite word
     when the limit set of its unique run equals one of the family members.
+    The transition structure is validated once, as the ``dfa`` field (a Dfa
+    with no accepting states), and every run steps that Dfa.
     """
 
     alphabet: Alphabet
@@ -42,27 +45,19 @@ class MullerAutomaton:
     delta: Mapping[tuple[State, Symbol], State]
     initial: State
     acceptance_family: frozenset[frozenset[State]]
+    dfa: Dfa = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         state_set = set(self.states)
         for member in self.acceptance_family:
             if not member <= state_set:
                 raise ValueError("acceptance family mentions unknown states")
-        # reuse Dfa validation for the transition structure
-        Dfa(self.alphabet, self.states, self.delta, self.initial, frozenset())
-
-    def step(self, state: State, symbol: Symbol) -> State:
-        return self.delta[(state, symbol)]
-
-    def run(self, w: Word | str, start: State | None = None) -> State:
-        q = self.initial if start is None else start
-        for s in as_word(w):
-            q = self.step(q, s)
-        return q
+        dfa = Dfa(self.alphabet, self.states, self.delta, self.initial, frozenset())
+        object.__setattr__(self, "dfa", dfa)
 
     def as_dfa(self, accepting: frozenset[State]) -> Dfa:
         """The same transition structure read as a Dfa with the given accepting set."""
-        return Dfa(self.alphabet, self.states, self.delta, self.initial, frozenset(accepting))
+        return replace(self.dfa, accepting=frozenset(accepting))
 
 
 def _check_ultper(u: Word | str, v: Word | str) -> tuple[Word, Word]:
@@ -75,12 +70,13 @@ def _check_ultper(u: Word | str, v: Word | str) -> tuple[Word, Word]:
 def limit_set_ultper(m: MullerAutomaton | Dfa, u: Word | str, v: Word | str) -> frozenset[State]:
     """States visited infinitely often by the unique run on ``u v^omega``."""
     stem, loop = _check_ultper(u, v)
-    q = m.run(stem)
+    d = m.dfa if isinstance(m, MullerAutomaton) else m
+    q = d.run(stem)
     # iterate whole-period steps until a state repeats at period boundaries
     boundary_order = [q]
     first_seen = {q: 0}
     while True:
-        q = m.run(loop, start=q)
+        q = d.run(loop, start=q)
         if q in first_seen:
             cycle_start = first_seen[q]
             break
@@ -88,10 +84,7 @@ def limit_set_ultper(m: MullerAutomaton | Dfa, u: Word | str, v: Word | str) -> 
         boundary_order.append(q)
     limit: set[State] = set()
     for b in boundary_order[cycle_start:]:
-        r = b
-        for s in loop:
-            r = m.step(r, s)
-            limit.add(r)
+        limit.update(d.visited(loop, start=b)[1:])
     return frozenset(limit)
 
 
@@ -109,6 +102,7 @@ def buchi_accepts_ultper(b: Automaton, u: Word | str, v: Word | str) -> bool:
     stem, loop = _check_ultper(u, v)
     n = nfa_of(b)
     after_stem = n.run_set(stem)
+    _check_word(n.alphabet, loop)
     period = len(loop)
 
     by_symbol: dict[Symbol, dict[State, list[State]]] = {s: {} for s in n.alphabet}

@@ -109,12 +109,7 @@ def _base(text: str, kind: str):
 def parse_dfa(text: str) -> Dfa:
     seen, alphabet, states, accepting, triples = _base(text, "dfa")
     initial = _single(seen, "initial", set(states))
-    delta: dict[tuple[State, Symbol], State] = {}
-    for line_no, src, sym, dst in triples:
-        if (src, sym) in delta:
-            raise FormatError(line_no, f"duplicate transition for ({src!r}, {sym!r})")
-        delta[(src, sym)] = dst
-    return _completed(alphabet, states, delta, initial, accepting)
+    return _completed(alphabet, states, _delta(triples), initial, accepting)
 
 
 def parse_nfa(text: str) -> Nfa:
@@ -140,13 +135,18 @@ def parse_muller(text: str) -> MullerAutomaton:
             if name not in state_set:
                 raise FormatError(line_no, f"unknown state {name!r} in macro line")
         family.add(frozenset(tokens))
+    completed = _completed(alphabet, states, _delta(triples), initial, frozenset())
+    return MullerAutomaton(alphabet, completed.states, completed.delta, initial, frozenset(family))
+
+
+def _delta(triples: list) -> dict[tuple[State, Symbol], State]:
+    """Transition table of deterministic ``trans:`` lines; a repeated pair is an error."""
     delta: dict[tuple[State, Symbol], State] = {}
     for line_no, src, sym, dst in triples:
         if (src, sym) in delta:
             raise FormatError(line_no, f"duplicate transition for ({src!r}, {sym!r})")
         delta[(src, sym)] = dst
-    completed = _completed(alphabet, states, delta, initial, frozenset())
-    return MullerAutomaton(alphabet, completed.states, completed.delta, initial, frozenset(family))
+    return delta
 
 
 def _single(seen: dict, key: str, state_set: set) -> str:
@@ -173,15 +173,21 @@ def _completed(alphabet: Alphabet, states: tuple, delta: dict, initial: State, a
 
 
 def serialize_dfa(a: Dfa) -> str:
+    return _dfa_text(a, "accepting: " + " ".join(str(q) for q in a.states if q in a.accepting))
+
+
+def _dfa_text(a: Dfa, accepting_line: str, tail: tuple[str, ...] = ()) -> str:
+    """The deterministic format of ``a`` with the given ``accepting:`` line, then ``tail``."""
     lines = [
         "alphabet: " + " ".join(a.alphabet.symbols),
         "states: " + " ".join(str(q) for q in a.states),
         "initial: " + str(a.initial),
-        "accepting: " + " ".join(str(q) for q in a.states if q in a.accepting),
+        accepting_line,
     ]
     for q in a.states:
         for s in a.alphabet:
             lines.append(f"trans: {q} {s} {a.delta[(q, s)]}")
+    lines.extend(tail)
     return "\n".join(lines) + "\n"
 
 
@@ -198,15 +204,6 @@ def serialize_nfa(n: Nfa) -> str:
 
 
 def serialize_muller(m: MullerAutomaton) -> str:
-    lines = [
-        "alphabet: " + " ".join(m.alphabet.symbols),
-        "states: " + " ".join(str(q) for q in m.states),
-        "initial: " + str(m.initial),
-        "accepting:",
-    ]
-    for q in m.states:
-        for s in m.alphabet:
-            lines.append(f"trans: {q} {s} {m.delta[(q, s)]}")
-    for member in sorted(m.acceptance_family, key=lambda f: sorted(map(str, f))):
-        lines.append("macro: " + " ".join(str(q) for q in sorted(member, key=str)))
-    return "\n".join(lines) + "\n"
+    family = sorted(m.acceptance_family, key=lambda f: sorted(map(str, f)))
+    macros = tuple("macro: " + " ".join(str(q) for q in sorted(member, key=str)) for member in family)
+    return _dfa_text(m.dfa, "accepting:", macros)

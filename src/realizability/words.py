@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import chain, count, islice, product
 from typing import Callable, Iterable, Iterator
 
-from .automata import Alphabet, Automaton, Symbol, Word, as_word, literal_dfa, meets, union
+from .automata import Alphabet, Automaton, Symbol, Word, _check_word, as_word, literal_dfa, meets, union
 
 FACTOR_UNIVERSAL = "factor-universal"
 UNKNOWN = "unknown"
@@ -63,7 +63,8 @@ class _Buffered:
         self._extend_to(i)
         return self._buf[i - 1]
 
-    def _prefix(self, n: int) -> tuple:
+    def prefix(self, n: int) -> tuple:
+        """The first ``n`` symbols, ``W[1, n]``."""
         if n < 0:
             raise IndexError("prefix length must be non-negative")
         if self._index_fn is not None:
@@ -71,7 +72,8 @@ class _Buffered:
         self._extend_to(n)
         return tuple(self._buf[:n])
 
-    def _iter_from(self, start: int = 1) -> Iterator:
+    def iter_from(self, start: int = 1) -> Iterator:
+        """The symbols from position ``start`` on, read lazily."""
         if start < 1:
             raise IndexError("positions are 1-based")
         if self._index_fn is not None:
@@ -110,17 +112,11 @@ class InfiniteWord(_Buffered):
     def symbol_at(self, i: int) -> Symbol:
         return self._at(i)
 
-    def prefix(self, n: int) -> Word:
-        return self._prefix(n)
-
     def segment(self, lo: int, hi: int) -> Word:
         """Symbols at positions lo..hi inclusive."""
         if lo < 1 or hi < lo - 1:
             raise IndexError("bad segment bounds")
         return self.prefix(hi)[lo - 1 :]
-
-    def iter_from(self, start: int = 1) -> Iterator[Symbol]:
-        return self._iter_from(start)
 
 
 class IndexedInfiniteWord(_Buffered):
@@ -142,12 +138,6 @@ class IndexedInfiniteWord(_Buffered):
 
     def symbol_index_at(self, i: int) -> int:
         return self._at(i)
-
-    def prefix(self, n: int) -> tuple[int, ...]:
-        return self._prefix(n)
-
-    def iter_from(self, start: int = 1) -> Iterator[int]:
-        return self._iter_from(start)
 
 
 @dataclass(frozen=True)
@@ -224,6 +214,8 @@ def ultimately_periodic(u: Word | str, v: Word | str, alphabet: Alphabet | None 
             if s not in seen:
                 seen.append(s)
         alphabet = Alphabet(tuple(seen))
+    else:
+        _check_word(alphabet, stem + loop)
 
     def index_fn(i: int) -> Symbol:
         if i <= len(stem):
@@ -330,11 +322,7 @@ def factor_search(w: InfiniteWord, needle: Word | str, limit: int) -> int | None
     if all(len(s) == 1 for s in w.alphabet.symbols):
         pos = "".join(hay).find("".join(pattern))
         return pos + 1 if pos >= 0 else None
-    m = len(pattern)
-    for i in range(len(hay) - m + 1):
-        if hay[i : i + m] == pattern:
-            return i + 1
-    return None
+    return _find(hay, pattern)
 
 
 def indexed_factor_search(w: IndexedInfiniteWord, needle: Iterable[int], limit: int) -> int | None:
@@ -346,6 +334,11 @@ def indexed_factor_search(w: IndexedInfiniteWord, needle: Iterable[int], limit: 
     if max(pattern) < 256 and (not hay or max(hay) < 256):
         pos = bytes(hay).find(bytes(pattern))
         return pos + 1 if pos >= 0 else None
+    return _find(hay, pattern)
+
+
+def _find(hay: tuple, pattern: tuple) -> int | None:
+    """Least 1-based start of ``pattern`` in ``hay`` by direct comparison."""
     m = len(pattern)
     for i in range(len(hay) - m + 1):
         if hay[i : i + m] == pattern:

@@ -1,0 +1,163 @@
+"""The public surface the benchmark and outside callers build on.
+
+``EXPORTS`` is frozen: a name may be added to ``realizability/__init__.py``,
+but none of these may go.  The shape tests pin the constructor and record
+layouts that ``bench/workloads.py`` uses directly.
+"""
+
+from __future__ import annotations
+
+import realizability
+from conftest import MACHINES_TEXT
+from helpers import BINARY
+from realizability import (
+    MullerAutomaton,
+    Stage,
+    limit_set_ultper,
+    parse_machines,
+    theorem1_word,
+)
+
+EXPORTS = (
+    "absorbing_accepting",
+    "Alphabet",
+    "AlphabetMismatchError",
+    "apply_morphism",
+    "as_word",
+    "AugmentedState",
+    "Automaton",
+    "Block",
+    "block_word_dfa",
+    "brute_force_prefix_check",
+    "buchi_accepts_ultper",
+    "canonical_state_count_block",
+    "champernowne",
+    "complement",
+    "concatenate",
+    "count_accepted_prefixes",
+    "dead_lock_states",
+    "deadlock_accepting_variant",
+    "decide_buchi",
+    "decide_buchi_infinite",
+    "decide_buchi_morphism",
+    "decide_prefix",
+    "decide_prefix_infinite",
+    "decide_prefix_morphism",
+    "decide_prefix_theorem1",
+    "decode_dfa",
+    "definitive_index_sequence",
+    "definitive_language",
+    "definitive_witness",
+    "DefinitiveCertificate",
+    "delta_relation",
+    "derived_fuel",
+    "determinize",
+    "Dfa",
+    "difference",
+    "effective_dead_locks",
+    "effective_from_index_sets",
+    "EffectiveAutomaton",
+    "EffectiveFormatError",
+    "EffectiveMorphism",
+    "empty_language",
+    "encode_dfa",
+    "EndedDeadLock",
+    "EPSILON",
+    "equivalent",
+    "factor_search",
+    "FACTOR_UNIVERSAL",
+    "filter_to_word",
+    "FilterLanguage",
+    "find_definitive_word",
+    "find_transition_witness",
+    "FormatError",
+    "Fuel",
+    "FuelExhausted",
+    "indexed_factor_search",
+    "indexed_periodic",
+    "IndexedInfiniteWord",
+    "IndexSet",
+    "InfiniteWord",
+    "intersect",
+    "is_definitive",
+    "is_empty",
+    "limit_set_ultper",
+    "literal_dfa",
+    "MachineList",
+    "macrostate_automaton",
+    "MorphismStallError",
+    "muller_acceptance_via_buchi_queries",
+    "muller_accepts_ultper",
+    "MullerAutomaton",
+    "Nfa",
+    "NO",
+    "Outcome",
+    "parse_dfa",
+    "parse_effective",
+    "parse_machines",
+    "parse_muller",
+    "parse_nfa",
+    "PassedAccepting",
+    "prefix_via_rr",
+    "prepend_sigma_star",
+    "reachable_closure",
+    "reachable_states",
+    "reduce_morphism_automaton",
+    "Refutation",
+    "regex_dfa",
+    "relabel_bfs",
+    "render_word",
+    "rr_pipeline",
+    "rr_to_prefix",
+    "serialize_dfa",
+    "serialize_muller",
+    "serialize_nfa",
+    "shortlex_smallest",
+    "sigma_star",
+    "sigma_star_prefix",
+    "split_blocks",
+    "Stage",
+    "star",
+    "theorem1_word",
+    "Theorem1Word",
+    "ultimately_periodic",
+    "union",
+    "universal_indexed_word",
+    "universal_round_end",
+    "universal_round_length",
+    "UNKNOWN",
+    "Verdict",
+    "with_initial",
+    "Word",
+    "words_upto",
+    "YES",
+    "zero_one_blocks",
+    "zero_one_runs",
+)
+
+
+def test_every_exported_name_is_importable():
+    assert [name for name in EXPORTS if not hasattr(realizability, name)] == []
+
+
+def test_muller_automaton_takes_five_positional_arguments():
+    delta = {("q0", "0"): "q1", ("q0", "1"): "q0", ("q1", "0"): "q0", ("q1", "1"): "q1"}
+    family = frozenset({frozenset({"q0", "q1"})})
+    m = MullerAutomaton(BINARY, ("q0", "q1"), delta, "q0", family)
+    assert (m.alphabet, m.states, m.delta, m.initial, m.acceptance_family) == (
+        BINARY,
+        ("q0", "q1"),
+        delta,
+        "q0",
+        family,
+    )
+    assert limit_set_ultper(m, "", "0") == frozenset({"q0", "q1"})
+
+
+def test_stage_record_fields():
+    stage = theorem1_word(parse_machines(MACHINES_TEXT)).stage(2)
+    assert isinstance(stage, Stage)
+    assert (stage.n, stage.alive, stage.patch_ranks, stage.end) == (2, (1, 2), (), 10)
+    assert "".join(stage.machine_word) == "1011001"
+    assert stage.patch_word == ()
+

@@ -425,11 +425,12 @@ trans: s4 _ x R s5
 """
 
 
-def reference_stages(machines: MachineList, upto: int) -> tuple[list[Stage], tuple]:
-    """Stages 1..upto and their prefix the slow way: each stage's automaton
-    replays the whole symbol prefix, and its patch is the shortlex-least word
-    of a product of throwaway automata."""
+def reference_stages(machines: MachineList, upto: int) -> tuple[list[Stage], list[tuple], tuple]:
+    """Stages 1..upto, their (machine word, patch word) pairs and their prefix
+    the slow way: each stage's automaton replays the whole symbol prefix, and
+    its patch is the shortlex-least word of a product of throwaway automata."""
     stages: list[Stage] = []
+    words: list[tuple] = []
     prefix: list[str] = []
     for n in range(1, upto + 1):
         alive = machines.alive_at(n)
@@ -450,16 +451,19 @@ def reference_stages(machines: MachineList, upto: int) -> tuple[list[Stage], tup
         prefix.extend(machine_word)
         prefix.extend(patch_word)
         ranks = tuple(split_blocks(patch_word))
-        stages.append(Stage(n, alive, machine_word, patch_word, ranks, len(prefix)))
-    return stages, tuple(prefix)
+        stages.append(Stage(n, alive, ranks, len(prefix)))
+        words.append((machine_word, patch_word))
+    return stages, words, tuple(prefix)
 
 
 class TestBlockReplay:
     @pytest.mark.parametrize("text", [MACHINES_TEXT, HALTING_TEXT], ids=["gate", "halting"])
     def test_stages_match_symbol_replay(self, text):
-        expected, prefix = reference_stages(parse_machines(text), 140)
+        expected, words, prefix = reference_stages(parse_machines(text), 140)
         w = theorem1_word(parse_machines(text))
-        assert [w.stage(n) for n in range(1, 141)] == expected
+        stages = [w.stage(n) for n in range(1, 141)]
+        assert stages == expected
+        assert [(stage.machine_word, stage.patch_word) for stage in stages] == words
         assert w.prefix(len(prefix)) == prefix
 
     def test_halting_list_forbids_ranks(self):

@@ -508,3 +508,32 @@ class TestErrors:
         # an escaping exception would exit with 1, which reads as "No"
         code = main(["word", "dump", "--gen", *gen, "--upto", "-3"])
         assert_one_error_line(code, capsys.readouterr())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["definitive", "{bad}"],
+            ["definitive", "{bad}", "--language"],
+            ["decide-prefix", "--automaton", "{bad}", "--gen", "champernowne", "--fuel", "10"],
+            ["decide-buchi", "--automaton", "{bad}", "--gen", "champernowne", "--fuel", "10"],
+        ],
+        ids=["definitive", "definitive-language", "decide-prefix", "decide-buchi"],
+    )
+    def test_malformed_automaton_file(self, files, argv, capsys):
+        code = main([arg.format(bad=files["bad.aut"]) for arg in argv])
+        assert_one_error_line(code, capsys.readouterr())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["word", "dump", "--gen", "ultper", "--alphabet", "01", "--loop", "2", "--upto", "5"],
+            ["decide-prefix", "--automaton", "{a}", "--gen", "ultper", "--alphabet", "01",
+             "--loop", "2", "--fuel", "10"],
+        ],
+        ids=["word-dump", "decide-prefix"],
+    )
+    def test_ultper_symbol_outside_the_alphabet(self, files, argv, capsys):
+        code = main([arg.format(a=files["contains1.aut"]) for arg in argv])
+        captured = capsys.readouterr()
+        assert_one_error_line(code, captured)
+        assert "symbol '2' not in alphabet" in captured.err

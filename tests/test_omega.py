@@ -9,6 +9,7 @@ import pytest
 from helpers import BINARY, random_dfa, random_word
 from realizability import (
     Alphabet,
+    AlphabetMismatchError,
     Dfa,
     MullerAutomaton,
     Nfa,
@@ -70,12 +71,38 @@ class TestLimitSet:
         with pytest.raises(ValueError):
             limit_set_ultper(a_contains1, "0", "")
 
+    @pytest.mark.parametrize("stem, loop", [("2", "0"), ("", "2"), ("0", "02")])
+    def test_foreign_symbols_rejected_for_dfa_and_muller(self, a_contains1, stem, loop):
+        m = MullerAutomaton(
+            BINARY, a_contains1.states, a_contains1.delta, a_contains1.initial, frozenset()
+        )
+        for call in (
+            lambda: limit_set_ultper(a_contains1, stem, loop),
+            lambda: limit_set_ultper(m, stem, loop),
+            lambda: muller_accepts_ultper(m, stem, loop),
+        ):
+            with pytest.raises(AlphabetMismatchError, match="'2'"):
+                call()
+
 
 class TestMullerAcceptance:
     def test_alternation_family(self, m2_muller):
         assert muller_accepts_ultper(m2_muller, "", "ab")
         assert not muller_accepts_ultper(m2_muller, "", "a")
         assert not muller_accepts_ultper(m2_muller, "", "b")
+
+    def test_structure_is_validated_once_as_a_dfa(self, m2_muller):
+        assert m2_muller.dfa == Dfa(
+            AB, m2_muller.states, m2_muller.delta, m2_muller.initial, frozenset()
+        )
+        assert m2_muller.as_dfa(frozenset({"q1"})).accepting == frozenset({"q1"})
+        assert "dfa" not in repr(m2_muller)
+
+    def test_family_is_checked_before_the_transition_structure(self):
+        with pytest.raises(ValueError, match="acceptance family mentions unknown states"):
+            MullerAutomaton(AB, ("q0",), {}, "q0", frozenset({frozenset({"ghost"})}))
+        with pytest.raises(ValueError, match=r"undefined on \('q0', 'a'\)"):
+            MullerAutomaton(AB, ("q0",), {}, "q0", frozenset())
 
     def test_family_must_use_known_states(self):
         with pytest.raises(ValueError):
@@ -97,6 +124,11 @@ class TestBuchiUltper:
 
     def test_stem_can_decide(self, a_contains1):
         assert buchi_accepts_ultper(a_contains1, "1", "0")
+
+    @pytest.mark.parametrize("stem, loop", [("2", "0"), ("", "2"), ("1", "12")])
+    def test_foreign_symbols_rejected(self, a_contains1, stem, loop):
+        with pytest.raises(AlphabetMismatchError, match="'2'"):
+            buchi_accepts_ultper(a_contains1, stem, loop)
 
     def test_dead_lock_never_accepts(self, a_only0):
         # the only accepting state has no cycle back to itself

@@ -13,6 +13,7 @@ from conftest import MACHINES_TEXT
 from helpers import ABC, BINARY, random_word
 from realizability import (
     FACTOR_UNIVERSAL,
+    AlphabetMismatchError,
     EffectiveMorphism,
     InfiniteWord,
     MorphismStallError,
@@ -117,6 +118,11 @@ class TestUltimatelyPeriodic:
         assert ultimately_periodic("0", "1").alphabet.symbols == ("0", "1")
         w = ultimately_periodic("", "1", alphabet=BINARY)
         assert w.alphabet is BINARY
+
+    @pytest.mark.parametrize("stem, loop", [("2", "0"), ("", "2"), ("0", "12")])
+    def test_symbols_outside_a_given_alphabet_rejected(self, stem, loop):
+        with pytest.raises(AlphabetMismatchError, match="'2'"):
+            ultimately_periodic(stem, loop, alphabet=BINARY)
 
 
 class TestUniversalIndexedWord:
