@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable
+from functools import partial
+from typing import Callable, Sequence
 
 from .automata import Alphabet, Dfa, regex_dfa, render_word
 from .bridge import (
@@ -247,31 +248,29 @@ def _cmd_word(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="realizability", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("definitive", help="definitive word (and language) of an automaton")
+def _add_definitive(p: argparse.ArgumentParser) -> None:
     p.add_argument("automaton", help="automaton file")
     p.add_argument("--language", action="store_true", help="also print the definitive-language automaton")
     p.set_defaults(handler=_cmd_definitive)
 
-    for name, buchi in (("decide-prefix", False), ("decide-buchi", True)):
-        p = sub.add_parser(name, help=f"{'Büchi' if buchi else 'prefix'} realizability decision")
-        p.add_argument("--automaton", required=True, help="automaton file")
-        _add_generator_flags(p, ["champernowne", "ultper", "morphism", "theorem1"])
-        p.add_argument("--fuel", type=int, default=None, help="simulation budget in symbols")
-        p.add_argument("--trace", action="store_true", help="stream position/state pairs to stderr")
-        p.set_defaults(handler=_cmd_decide, buchi=buchi)
 
-    p = sub.add_parser("decide-infinite", help="decisions for an effective automaton (indexed alphabet)")
+def _add_decide(p: argparse.ArgumentParser, buchi: bool) -> None:
+    p.add_argument("--automaton", required=True, help="automaton file")
+    _add_generator_flags(p, ["champernowne", "ultper", "morphism", "theorem1"])
+    p.add_argument("--fuel", type=int, default=None, help="simulation budget in symbols")
+    p.add_argument("--trace", action="store_true", help="stream position/state pairs to stderr")
+    p.set_defaults(handler=_cmd_decide, buchi=buchi)
+
+
+def _add_decide_infinite(p: argparse.ArgumentParser) -> None:
     p.add_argument("--effective", required=True, help="effective-automaton file")
     p.add_argument("--buchi", action="store_true", help="decide Büchi instead of prefix realizability")
     p.add_argument("--fuel", type=int, default=None, help="simulation budget in symbols")
     p.add_argument("--trace", action="store_true", help="stream position/state pairs to stderr")
     p.set_defaults(handler=_cmd_decide_infinite)
 
-    p = sub.add_parser("rr", help="does a regular language meet the filter language?")
+
+def _add_rr(p: argparse.ArgumentParser) -> None:
     p.add_argument("--filter", required=True, help="filter-language automaton file")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--automaton", help="automaton file for the regular language")
@@ -279,21 +278,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--show-reduction", action="store_true", help="print the reduced automaton to stderr")
     p.set_defaults(handler=_cmd_rr)
 
-    p = sub.add_parser("word", help="word utilities")
+
+def _add_word(p: argparse.ArgumentParser) -> None:
     p.add_argument("action", choices=["dump"], help="what to do")
-    _add_generator_flags(
-        p, ["champernowne", "ultper", "universal-indexed", "morphism", "theorem1"]
-    )
+    _add_generator_flags(p, ["champernowne", "ultper", "universal-indexed", "morphism", "theorem1"])
     p.add_argument("--upto", type=int, required=True, help="prefix length to print")
     p.set_defaults(handler=_cmd_word)
 
+
+_SUBCOMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
+    "definitive": ("definitive word (and language) of an automaton", _add_definitive),
+    "decide-prefix": ("prefix realizability decision", partial(_add_decide, buchi=False)),
+    "decide-buchi": ("Büchi realizability decision", partial(_add_decide, buchi=True)),
+    "decide-infinite": ("decisions for an effective automaton (indexed alphabet)", _add_decide_infinite),
+    "rr": ("does a regular language meet the filter language?", _add_rr),
+    "word": ("word utilities", _add_word),
+}
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """Build a fresh parser for one call: only the subparser ``argv[0]`` names, under a metavar
+    that keeps the top-level usage, or else all six (help, no or an unknown subcommand)."""
+    parser = _Parser(prog="realizability", description=__doc__.splitlines()[0])
+    names = argv[:1] if argv and argv[0] in _SUBCOMMANDS else list(_SUBCOMMANDS)
+    metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
+    for name in names:
+        help_line, add_arguments = _SUBCOMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

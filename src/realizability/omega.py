@@ -11,7 +11,8 @@ finite cycle analysis, so the deciders here are exact.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from copy import copy
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .automata import (
@@ -56,8 +57,16 @@ class MullerAutomaton:
         object.__setattr__(self, "dfa", dfa)
 
     def as_dfa(self, accepting: frozenset[State]) -> Dfa:
-        """The same transition structure read as a Dfa with the given accepting set."""
-        return replace(self.dfa, accepting=frozenset(accepting))
+        """The same transition structure read as a Dfa with the given accepting set.
+
+        Only the accepting set is new; the rest was validated as ``dfa``.
+        """
+        accepting = frozenset(accepting)
+        if not accepting.issubset(self.states):
+            raise ValueError("accepting set contains unknown states")
+        dfa = copy(self.dfa)
+        object.__setattr__(dfa, "accepting", accepting)
+        return dfa
 
 
 def _check_ultper(u: Word | str, v: Word | str) -> tuple[Word, Word]:
@@ -71,20 +80,28 @@ def limit_set_ultper(m: MullerAutomaton | Dfa, u: Word | str, v: Word | str) -> 
     """States visited infinitely often by the unique run on ``u v^omega``."""
     stem, loop = _check_ultper(u, v)
     d = m.dfa if isinstance(m, MullerAutomaton) else m
-    q = d.run(stem)
+    # checked once, so the validated transition table is read directly
+    _check_word(d.alphabet, stem + loop)
+    delta = d.delta
+    q = d.initial
+    for s in stem:
+        q = delta[q, s]
     # iterate whole-period steps until a state repeats at period boundaries
     boundary_order = [q]
     first_seen = {q: 0}
     while True:
-        q = d.run(loop, start=q)
+        for s in loop:
+            q = delta[q, s]
         if q in first_seen:
             cycle_start = first_seen[q]
             break
         first_seen[q] = len(boundary_order)
         boundary_order.append(q)
     limit: set[State] = set()
-    for b in boundary_order[cycle_start:]:
-        limit.update(d.visited(loop, start=b)[1:])
+    for q in boundary_order[cycle_start:]:
+        for s in loop:
+            q = delta[q, s]
+            limit.add(q)
     return frozenset(limit)
 
 
@@ -95,10 +112,13 @@ def muller_accepts_ultper(m: MullerAutomaton, u: Word | str, v: Word | str) -> b
 def buchi_accepts_ultper(b: Automaton, u: Word | str, v: Word | str) -> bool:
     """Does some run on ``u v^omega`` visit an accepting state infinitely often?
 
-    Works on the lasso graph whose nodes are (state, position in v): a node
-    for an accepting state that is reachable from the stem and lies on a
-    cycle witnesses acceptance.
+    A Dfa has one run, which accepts when its limit set meets the accepting
+    set.  Otherwise this works on the lasso graph whose nodes are (state,
+    position in v): a node for an accepting state that is reachable from the
+    stem and lies on a cycle witnesses acceptance.
     """
+    if isinstance(b, Dfa):
+        return not limit_set_ultper(b, u, v).isdisjoint(b.accepting)
     stem, loop = _check_ultper(u, v)
     n = nfa_of(b)
     after_stem = n.run_set(stem)

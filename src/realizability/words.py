@@ -296,10 +296,13 @@ def apply_morphism(
 
     def source() -> Iterator[Symbol]:
         erased = 0
+        images: dict[int, Word] = {}  # indexed words repeat small indices
 
         def image(idx: int) -> Word:
             nonlocal erased
-            img = phi.image(idx)
+            img = images.get(idx)
+            if img is None:
+                img = images[idx] = phi.image(idx)
             erased = 0 if img else erased + 1
             if erased > stall_limit:
                 raise MorphismStallError(f"{stall_limit} consecutive erasing images; image word stalled")

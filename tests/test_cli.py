@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -537,3 +540,22 @@ class TestErrors:
         captured = capsys.readouterr()
         assert_one_error_line(code, captured)
         assert "symbol '2' not in alphabet" in captured.err
+
+
+# stdout, stderr and exit code of each usage case, recorded with COLUMNS=80;
+# help text, usage errors and exit codes must stay byte-identical
+USAGE_CASES = json.loads((Path(__file__).parent / "fixtures" / "cli_usage.json").read_text("utf-8"))
+
+
+class TestUsageOutput:
+    @pytest.mark.parametrize("case", USAGE_CASES, ids=[" ".join(c["argv"]) or "no-args" for c in USAGE_CASES])
+    def test_help_and_usage_errors_are_byte_identical(self, case, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        code = main(list(case["argv"]))
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err, code) == (case["stdout"], case["stderr"], case["code"])
+
+    def test_main_without_argv_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["realizability", "word", "dump", "--gen", "champernowne", "--upto", "6"])
+        assert main() == 0
+        assert capsys.readouterr().out == "010001\n"

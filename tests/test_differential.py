@@ -24,12 +24,14 @@ from helpers import ABC, BINARY, random_dfa  # noqa: E402
 from realizability import (  # noqa: E402
     Dfa,
     MullerAutomaton,
+    buchi_accepts_ultper,
     dead_lock_states,
     limit_set_ultper,
     muller_accepts_ultper,
     reachable_states,
     relabel_bfs,
 )
+from realizability.automata import nfa_of  # noqa: E402
 
 ALPHABETS = pytest.mark.parametrize("alphabet", [BINARY, ABC], ids=["01", "abc"])
 DRAWS = 200
@@ -67,6 +69,18 @@ def test_limit_sets_and_muller_acceptance(alphabet):
                 a.alphabet, a.states, a.delta, a.initial, frozenset(map(names, family))
             )
             assert muller_accepts_ultper(muller, stem, loop) is (expected in family)
+
+
+@ALPHABETS
+def test_buchi_acceptance_of_a_dfa(alphabet):
+    # the Dfa path reads the limit set; the Nfa view of the same automaton
+    # still searches the lasso graph
+    for rng, a, t in draws(904, alphabet):
+        for _ in range(5):
+            stem, loop = inputs.random_lasso(rng, t.symbols)
+            expected = not reference.limit_set(t, stem, loop).isdisjoint(t.accepting)
+            assert buchi_accepts_ultper(a, stem, loop) is expected
+            assert buchi_accepts_ultper(nfa_of(a), stem, loop) is expected
 
 
 @ALPHABETS

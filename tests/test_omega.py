@@ -98,6 +98,15 @@ class TestMullerAcceptance:
         assert m2_muller.as_dfa(frozenset({"q1"})).accepting == frozenset({"q1"})
         assert "dfa" not in repr(m2_muller)
 
+    def test_as_dfa_equals_the_public_construction(self, m2_muller):
+        for accepting in (frozenset(), frozenset({"q1"}), frozenset({"q0", "q1"})):
+            assert m2_muller.as_dfa(accepting) == Dfa(
+                AB, m2_muller.states, m2_muller.delta, m2_muller.initial, accepting
+            )
+        assert m2_muller.dfa.accepting == frozenset()
+        with pytest.raises(ValueError, match="accepting set contains unknown states"):
+            m2_muller.as_dfa(frozenset({"q1", "ghost"}))
+
     def test_family_is_checked_before_the_transition_structure(self):
         with pytest.raises(ValueError, match="acceptance family mentions unknown states"):
             MullerAutomaton(AB, ("q0",), {}, "q0", frozenset({frozenset({"ghost"})}))

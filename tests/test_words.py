@@ -206,10 +206,34 @@ class TestApplyMorphism:
         got = image.prefix(len(expected))
         assert "".join(got) == "".join(expected)
 
+    @pytest.mark.parametrize(
+        "phi",
+        [zero_one_runs(), zero_one_blocks(), EffectiveMorphism.index_periodic(["01", "", "1"], BINARY)],
+        ids=["zero-one-runs", "zero-one-blocks", "cyclic-erasing"],
+    )
+    def test_each_image_is_computed_once_per_word(self, phi):
+        indices = universal_indexed_word().prefix(3000)
+        calls: list[int] = []
+        counted = EffectiveMorphism(phi.alphabet, lambda idx: calls.append(idx) or phi.image(idx))
+        expected = [s for idx in indices for s in phi.image(idx)]
+        assert apply_morphism(counted, universal_indexed_word()).prefix(len(expected)) == tuple(expected)
+        assert sorted(calls) == sorted(set(indices))
+
     def test_stalling_morphism_raises(self):
         image = apply_morphism(zero_one_runs(), indexed_periodic((1,)), stall_limit=50)
         with pytest.raises(MorphismStallError):
             image.prefix(1)
+
+    def test_stall_counts_every_read_of_a_repeated_erasing_index(self):
+        # odd indices map to "01", even ones erase: three "01" images, then
+        # eleven reads of the erasing index 2 before index 1 comes round again
+        phi = EffectiveMorphism.index_periodic(["01", ""], BINARY)
+        indices = indexed_periodic((1, 2) * 3 + (2,) * 10)
+        stalled = apply_morphism(phi, indices, stall_limit=10)
+        assert "".join(stalled.prefix(6)) == "010101"
+        with pytest.raises(MorphismStallError):
+            stalled.prefix(7)
+        assert "".join(apply_morphism(phi, indices, stall_limit=11).prefix(8)) == "01010101"
 
 
 class TestAsWord:
