@@ -201,15 +201,7 @@ def dead_lock_states(a: Dfa) -> frozenset[State]:
     reverse: dict[State, set[State]] = {q: set() for q in a.states}
     for (p, _s), q in a.delta.items():
         reverse[q].add(p)
-    alive: set[State] = set(a.accepting)
-    queue = deque(a.accepting)
-    while queue:
-        q = queue.popleft()
-        for p in reverse[q]:
-            if p not in alive:
-                alive.add(p)
-                queue.append(p)
-    return frozenset(set(a.states) - alive)
+    return frozenset(set(a.states) - _reach(a.accepting, reverse.__getitem__))
 
 
 def relabel_bfs(a: Dfa, prefix: str = "q", start: int = 1) -> Dfa:
@@ -247,6 +239,18 @@ def explore(
                 seen.add(target)
                 order.append(target)
     return tuple(order), delta
+
+
+def _reach(starts: Iterable[State], successors: Callable[[State], Iterable[State]]) -> set[State]:
+    """States reachable from ``starts`` (themselves included) along ``successors``, breadth-first."""
+    order = list(starts)
+    seen = set(order)
+    for current in order:  # appending while iterating makes the list a FIFO queue
+        for target in successors(current):
+            if target not in seen:
+                seen.add(target)
+                order.append(target)
+    return seen
 
 
 def _product(a: Dfa, b: Dfa, accept) -> Dfa:
@@ -401,7 +405,7 @@ def shortlex_smallest(a: Automaton) -> Word | None:
 
 
 def shortlex_search(
-    alphabet: Alphabet, start: Any, is_target: Callable[[Any], bool], step: Callable[[Any, Symbol], Any]
+    alphabet: Iterable[Symbol], start: Any, is_target: Callable[[Any], bool], step: Callable[[Any, Symbol], Any]
 ) -> Word | None:
     """Shortlex-least word leading ``step`` from ``start`` to a target, or None.
 

@@ -571,6 +571,8 @@ class Theorem1Word(InfiniteWord):
             yield stage_word
 
     def ensure_stage(self, n: int) -> Stage:
+        if n < 1:
+            raise IndexError("stages are 1-based")
         stages = self._stages
         while len(stages) < n:  # one symbol past the last stage runs the next ones
             self._extend_to((stages[-1].end if stages else 0) + 1)

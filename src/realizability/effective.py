@@ -33,9 +33,11 @@ from .automata import (
     State,
     Symbol,
     Word,
+    _reach,
     as_dfa,
     explore,
     meets,
+    shortlex_search,
 )
 from .decide import Fuel, Outcome, _negated, _resolve, _stretch
 from .definitive import definitive_fold
@@ -69,13 +71,7 @@ def delta_relation(ea: EffectiveAutomaton, source: frozenset[State]) -> frozense
 
 def reachable_closure(ea: EffectiveAutomaton, source: frozenset[State]) -> frozenset[State]:
     """Least superset of ``source`` closed under the successor relation."""
-    closed = set(source)
-    frontier = set(source)
-    while frontier:
-        step = {q for q in ea.states if q not in closed and any(ea.exists_transition(p, q) for p in frontier)}
-        closed |= step
-        frontier = step
-    return frozenset(closed)
+    return frozenset(_reach(source, lambda p: [q for q in ea.states if ea.exists_transition(p, q)]))
 
 
 def effective_dead_locks(ea: EffectiveAutomaton) -> frozenset[State]:
@@ -151,38 +147,21 @@ def find_transition_witness(
 def definitive_index_sequence(ea: EffectiveAutomaton) -> tuple[int, ...]:
     """A definitive word (index sequence) for an effective automaton.
 
-    Per-state witnesses come from breadth-first search over the existence
-    relation realized by concrete witness indices; the same fold as in the
-    finite-alphabet construction stitches them together.
+    The witness of a state is the shortlex-least state path (states in
+    declaration order) into the accepting set along the existence relation,
+    one ``shortlex_search``; each edge of that path is then realized by its
+    least witness index.  The same fold as in the finite-alphabet
+    construction stitches the witnesses together.
     """
     dead = effective_dead_locks(ea)
 
     def witness(start: State) -> tuple[int, ...]:
-        if start in ea.accepting:
-            return ()
-        parents: dict[State, tuple[State, int]] = {}
-        seen = {start}
-        queue = deque([start])
-        goal = None
-        while queue and goal is None:
-            p = queue.popleft()
-            for q in ea.states:
-                if q in seen or not ea.exists_transition(p, q):
-                    continue
-                parents[q] = (p, find_transition_witness(ea, p, q))
-                if q in ea.accepting:
-                    goal = q
-                    break
-                seen.add(q)
-                queue.append(q)
-        assert goal is not None  # start was not dead-locked
-        path: list[int] = []
-        q = goal
-        while q != start:
-            p, k = parents[q]
-            path.append(k)
-            q = p
-        return tuple(reversed(path))
+        def step(p: State | None, q: State) -> State | None:
+            return q if p is not None and ea.exists_transition(p, q) else None  # None is the sink
+
+        path = shortlex_search(ea.states, start, ea.accepting.__contains__, step)
+        assert path is not None  # start was not dead-locked
+        return tuple(find_transition_witness(ea, p, q) for p, q in zip((start,) + path, path))
 
     def run(word: tuple[int, ...], start: State) -> State:
         q = start
@@ -306,6 +285,8 @@ class IndexSet:
                 raise ValueError(f"bad progression ({residue} mod {modulus})")
         if self.include & self.exclude:
             raise ValueError("include and exclude overlap")
+        if min(self.include | self.exclude, default=1) < 1:
+            raise ValueError("indices are 1-based")
 
     def __contains__(self, k: int) -> bool:
         if k < 1:
@@ -412,7 +393,12 @@ def parse_effective(text: str) -> EffectiveAutomaton:
     initial = None
     accepting: frozenset[str] | None = None
     rules: dict[State, list[tuple[IndexSet, State]]] = {}
+    once: set[str] = set()
     for line_no, key, tokens in _tokenized(text, EffectiveFormatError):
+        if key in once:
+            raise EffectiveFormatError(line_no, f"duplicate {key!r} line")
+        if key != "etrans":
+            once.add(key)
         if key == "states":
             states = tuple(tokens)
             if len(set(states)) != len(states):

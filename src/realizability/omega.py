@@ -10,9 +10,9 @@ finite cycle analysis, so the deciders here are exact.
 
 from __future__ import annotations
 
-from collections import deque
 from copy import copy
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Mapping
 
 from .automata import (
@@ -23,10 +23,11 @@ from .automata import (
     Symbol,
     Word,
     _check_word,
+    _reach,
+    _subset_step,
     as_word,
     determinize,
     explore,
-    nfa_of,
     sigma_star_prefix,
 )
 
@@ -114,53 +115,22 @@ def buchi_accepts_ultper(b: Automaton, u: Word | str, v: Word | str) -> bool:
 
     A Dfa has one run, which accepts when its limit set meets the accepting
     set.  Otherwise this works on the lasso graph whose nodes are (state,
-    position in v): a node for an accepting state that is reachable from the
-    stem and lies on a cycle witnesses acceptance.
+    position in v), entered from the state set the stem reaches: an accepting
+    node in the breadth-first closure of those entries that also lies in the
+    closure of its own successors (so on a cycle) witnesses acceptance.
     """
     if isinstance(b, Dfa):
         return not limit_set_ultper(b, u, v).isdisjoint(b.accepting)
     stem, loop = _check_ultper(u, v)
-    n = nfa_of(b)
-    after_stem = n.run_set(stem)
-    _check_word(n.alphabet, loop)
-    period = len(loop)
+    _check_word(b.alphabet, stem + loop)
+    step, period = _subset_step(b), len(loop)
 
-    by_symbol: dict[Symbol, dict[State, list[State]]] = {s: {} for s in n.alphabet}
-    for (p, s, q) in n.transitions:
-        by_symbol[s].setdefault(p, []).append(q)
-
-    def successors(node: tuple[State, int]):
+    def successors(node: tuple[State, int]) -> list[tuple[State, int]]:
         q, i = node
-        for r in by_symbol[loop[i]].get(q, ()):
-            yield (r, (i + 1) % period)
+        return [(r, (i + 1) % period) for r in step(frozenset({q}), loop[i])]
 
-    start_nodes = [(q, 0) for q in after_stem]
-    reachable = set(start_nodes)
-    queue = deque(start_nodes)
-    while queue:
-        node = queue.popleft()
-        for nxt in successors(node):
-            if nxt not in reachable:
-                reachable.add(nxt)
-                queue.append(nxt)
-
-    candidates = [node for node in reachable if node[0] in n.accepting]
-    for target in candidates:
-        seen = set()
-        queue = deque(successors(target))
-        found = False
-        while queue:
-            node = queue.popleft()
-            if node == target:
-                found = True
-                break
-            if node in seen:
-                continue
-            seen.add(node)
-            queue.extend(successors(node))
-        if found:
-            return True
-    return False
+    reachable = _reach([(q, 0) for q in reduce(step, stem, b.initials)], successors)
+    return any(t in _reach(successors(t), successors) for t in reachable if t[0] in b.accepting)
 
 
 def absorbing_accepting(a: Dfa) -> Dfa:

@@ -7,6 +7,9 @@ layouts that ``bench/workloads.py`` uses directly.
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import realizability
 from conftest import MACHINES_TEXT
 from helpers import BINARY
@@ -161,3 +164,21 @@ def test_stage_record_fields():
     assert "".join(stage.machine_word) == "1011001"
     assert stage.patch_word == ()
 
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports names in order to export them
+    unused = []
+    for path in sorted(Path(realizability.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported: dict[str, int] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []

@@ -366,6 +366,17 @@ class TestTheorem1Word:
             assert 1 not in split_blocks(stage.machine_word)
             assert 1 not in stage.patch_ranks
 
+    def test_stages_are_one_based(self, machine_list):
+        w = theorem1_word(machine_list)
+        with pytest.raises(IndexError, match="stages are 1-based"):
+            w.ensure_stage(0)
+        w.ensure_stage(3)
+        for n in (0, -1, -3):
+            with pytest.raises(IndexError, match="stages are 1-based"):
+                w.stage(n)
+            with pytest.raises(IndexError, match="stages are 1-based"):
+                w.ensure_stage(n)
+
     def test_word_is_deterministic(self):
         from conftest import MACHINES_TEXT
 

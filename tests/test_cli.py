@@ -102,6 +102,7 @@ def files(tmp_path):
         ("counter3.aut", COUNTER3),
         ("bad.ea", EFFECTIVE.replace("etrans: q1 q1 all", "etrans: q1 zz all")),
         ("overlap.ea", EFFECTIVE.replace("0%2", "all").replace("1%2", "all")),
+        ("index0.ea", EFFECTIVE.replace("1%2", "+0")),
         ("bad.aut", CONTAINS1.replace("trans: s1 1 s1", "trans: s1 1 s9")),
     ]:
         p = tmp_path / name
@@ -340,6 +341,14 @@ class TestDecideInfinite:
         captured = capsys.readouterr()
         assert_one_error_line(code, captured)
         assert "overlap at index 1" in captured.err
+
+    def test_index_below_one_is_a_parse_error(self, files, capsys):
+        # no index moves q0 to q1, so the witness scan used to run a million
+        # indices before failing; the file is refused at its etrans line
+        code = main(["decide-infinite", "--effective", files["index0.ea"]])
+        captured = capsys.readouterr()
+        assert_one_error_line(code, captured)
+        assert "line 5: indices are 1-based" in captured.err
 
 
 class TestRr:

@@ -6,12 +6,18 @@ defect in a library construction cannot hide in its own check.  The bench
 modules are imported in place; nothing here edits them.  Each case draws
 seeded ``helpers.random_dfa`` automata over ``01`` and ``abc`` and hands the
 reference the same automaton as an ``inputs.Table``.
+
+The breadth-first searches that the library folded onto one closure and one
+shortlex search are checked against test-only copies of the loops they
+replaced, on seeded ``helpers.random_nfa`` draws and on parsed
+``inputs.random_effective`` automata.
 """
 
 from __future__ import annotations
 
 import random
 import sys
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -20,18 +26,25 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import inputs  # noqa: E402
 import reference  # noqa: E402
-from helpers import ABC, BINARY, random_dfa  # noqa: E402
+from helpers import ABC, BINARY, random_dfa, random_nfa  # noqa: E402
 from realizability import (  # noqa: E402
+    AlphabetMismatchError,
     Dfa,
+    EffectiveAutomaton,
     MullerAutomaton,
+    Nfa,
     buchi_accepts_ultper,
     dead_lock_states,
+    definitive_index_sequence,
     limit_set_ultper,
     muller_accepts_ultper,
+    parse_effective,
+    reachable_closure,
     reachable_states,
     relabel_bfs,
 )
 from realizability.automata import nfa_of  # noqa: E402
+from test_effective import eager_index_sequence  # noqa: E402
 
 ALPHABETS = pytest.mark.parametrize("alphabet", [BINARY, ABC], ids=["01", "abc"])
 DRAWS = 200
@@ -105,3 +118,91 @@ def test_reachable_states_and_relabelling(alphabet):
         assert b.states == tuple(f"q{i}" for i in range(1, len(first_reached) + 1))
         for w in reference.words_upto(t.symbols, 6):
             assert b.accepts(w) is reference.accepts(t, w)
+
+
+def lasso_bfs_accepts(n: Nfa, stem: str, loop: str) -> bool:
+    """The earlier two-phase lasso search: one BFS for the (state, position in
+    loop) nodes reachable after the stem, then one BFS per accepting node
+    looking for a path back to it."""
+    after_stem = n.run_set(stem)
+    period = len(loop)
+    by_symbol: dict = {s: {} for s in n.alphabet}
+    for (p, s, q) in n.transitions:
+        by_symbol[s].setdefault(p, []).append(q)
+
+    def successors(node):
+        q, i = node
+        for r in by_symbol[loop[i]].get(q, ()):
+            yield (r, (i + 1) % period)
+
+    start_nodes = [(q, 0) for q in after_stem]
+    reachable = set(start_nodes)
+    queue = deque(start_nodes)
+    while queue:
+        node = queue.popleft()
+        for nxt in successors(node):
+            if nxt not in reachable:
+                reachable.add(nxt)
+                queue.append(nxt)
+    for target in [node for node in reachable if node[0] in n.accepting]:
+        seen = set()
+        queue = deque(successors(target))
+        while queue:
+            node = queue.popleft()
+            if node == target:
+                return True
+            if node in seen:
+                continue
+            seen.add(node)
+            queue.extend(successors(node))
+    return False
+
+
+@ALPHABETS
+def test_buchi_acceptance_of_an_nfa(alphabet):
+    rng = random.Random(905)
+    symbols = "".join(alphabet.symbols)
+    several_initials = accepted = asked = 0
+    for _ in range(DRAWS):
+        n = random_nfa(rng, max_states=5, alphabet=alphabet)
+        several_initials += len(n.initials) > 1
+        for _ in range(5):
+            stem, loop = inputs.random_lasso(rng, symbols)
+            expected = lasso_bfs_accepts(n, stem, loop)
+            assert buchi_accepts_ultper(n, stem, loop) is expected, (n, stem, loop)
+            accepted += expected
+            asked += 1
+        with pytest.raises(AlphabetMismatchError):
+            buchi_accepts_ultper(n, stem + "z", loop)
+    assert several_initials > 0
+    assert 0 < accepted < asked
+
+
+def parsed_effective(seed: int):
+    rng = random.Random(seed)
+    for _ in range(DRAWS):
+        yield rng, parse_effective(inputs.effective_text(inputs.random_effective(rng)))
+
+
+def frontier_closure(ea: EffectiveAutomaton, source: frozenset) -> frozenset:
+    """The earlier closure loop: grow by the successors of the last frontier."""
+    closed = set(source)
+    frontier = set(source)
+    while frontier:
+        step = {q for q in ea.states if q not in closed and any(ea.exists_transition(p, q) for p in frontier)}
+        closed |= step
+        frontier = step
+    return frozenset(closed)
+
+
+def test_reachable_closure_on_parsed_automata():
+    for rng, ea in parsed_effective(906):
+        sources = [frozenset(), frozenset(rng.sample(ea.states, rng.randint(1, len(ea.states))))]
+        for source in sources + [frozenset({q}) for q in ea.states]:
+            assert reachable_closure(ea, source) == frontier_closure(ea, source), (ea.states, source)
+
+
+def test_definitive_index_sequence_on_parsed_automata():
+    # the eager fold of test_effective.py, on the benchmark's effective automata
+    for _rng, ea in parsed_effective(907):
+        assert definitive_index_sequence(ea) == eager_index_sequence(ea)

@@ -97,6 +97,14 @@ class TestIndexSet:
         assert not IndexSet(((0, 2),)).is_empty()
         assert not IndexSet((), include=frozenset({5})).is_empty()
 
+    @pytest.mark.parametrize(
+        "include, exclude", [({0}, set()), ({-3}, set()), (set(), {0}), ({2}, {-1})], ids=["+0", "+-3", "-0", "--1"]
+    )
+    def test_indices_below_one_rejected(self, include, exclude):
+        # is_empty would count such an index while __contains__ never matches it
+        with pytest.raises(ValueError, match="indices are 1-based"):
+            IndexSet((), frozenset(include), frozenset(exclude))
+
     def test_parse_tokens(self):
         s = IndexSet.parse(["1%3", "+10", "-4"])
         assert s == IndexSet(((1, 3),), frozenset({10}), frozenset({4}))
@@ -490,6 +498,21 @@ class TestParseEffective:
         rules = {"q0": [(IndexSet(((1, 4),)), "q0"), (IndexSet(((3, 6),), exclude=frozenset({9})), "q0")]}
         with pytest.raises(ValueError, match="overlap at index 21"):
             effective_from_index_sets(("q0",), rules, "q0", frozenset())
+
+    @pytest.mark.parametrize("token", ["+0", "+-3", "-0", "1%2 --4"])
+    def test_index_below_one_reports_its_line(self, token):
+        bad = FIXTURE_TEXT.replace("etrans: q0 q1 1%2", f"etrans: q0 q1 {token}")
+        with pytest.raises(EffectiveFormatError, match="line 6: indices are 1-based") as exc_info:
+            parse_effective(bad)
+        assert exc_info.value.line_no == 6
+
+    @pytest.mark.parametrize("line", ["states: q0 q1", "initial: q1", "accepting:"])
+    def test_repeated_line_rejected(self, line):
+        # a later "accepting:" line used to replace the first one, turning Yes into No 0
+        key = line.partition(":")[0]
+        with pytest.raises(EffectiveFormatError, match=f"line 8: duplicate '{key}' line") as exc_info:
+            parse_effective(FIXTURE_TEXT + line + "\n")
+        assert exc_info.value.line_no == 8
 
     def test_delta_without_rule_fails(self):
         text = "states: a b\ninitial: a\naccepting: b\netrans: a b all\n"
