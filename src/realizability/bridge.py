@@ -389,6 +389,7 @@ def parse_machines(text: str) -> MachineList:
         trans: a _ _ R a
 
     A missing transition halts the machine; the blank tape symbol is ``_``.
+    A second ``start:`` line, or a second rule for one (state, read) pair, is an error.
     """
     machines: list[_MachineSim] = []
     names: list[str] = []
@@ -412,6 +413,8 @@ def parse_machines(text: str) -> MachineList:
         elif key == "start":
             if current_rules is None or len(tokens) != 1:
                 raise ValueError(f"line {line_no}: start: outside machine or malformed")
+            if current_start is not None:
+                raise ValueError(f"line {line_no}: duplicate 'start' line")
             current_start = tokens[0]
         elif key == "trans":
             if current_rules is None or len(tokens) != 5:
@@ -419,6 +422,8 @@ def parse_machines(text: str) -> MachineList:
             state, read, write, move, nxt = tokens
             if move not in _MOVE:
                 raise ValueError(f"line {line_no}: move must be one of L R S")
+            if (state, read) in current_rules:
+                raise ValueError(f"line {line_no}: duplicate transition for ({state!r}, {read!r})")
             current_rules[(state, read)] = (write, move, nxt)
         else:
             raise ValueError(f"line {line_no}: unknown section {key!r}")

@@ -32,7 +32,7 @@ import sys
 from functools import partial
 from typing import Callable, Sequence
 
-from .automata import Alphabet, Dfa, regex_dfa, render_word
+from .automata import Alphabet, regex_dfa, render_word
 from .bridge import (
     BINARY,
     FilterLanguage,
@@ -46,11 +46,9 @@ from .bridge import (
     theorem1_word,
 )
 from .decide import (
-    Fuel,
     FuelExhausted,
     Outcome,
     YES,
-    deadlock_accepting_variant,
     decide_buchi,
     decide_prefix,
 )
@@ -127,10 +125,7 @@ def _build_morphism(spec: str) -> EffectiveMorphism:
         return zero_one_blocks()
     if spec.startswith("cyclic:"):
         images = spec[len("cyclic:") :].split(",")
-        seen: dict[str, None] = {}
-        for img in images:
-            for c in img:
-                seen.setdefault(c)
+        seen = dict.fromkeys("".join(images))  # symbols in order of first use
         if not seen:
             raise ValueError("cyclic morphism needs at least one non-empty image")
         return EffectiveMorphism.index_periodic(images, Alphabet(tuple(seen)))
@@ -158,12 +153,6 @@ def _build_generator(args: argparse.Namespace) -> InfiniteWord | IndexedInfinite
             raise ValueError("theorem1 generator needs --machines <file>")
         return theorem1_word(parse_machines(_read(args.machines)))
     raise ValueError(f"unknown generator {name!r}")
-
-
-def _default_fuel(a: Dfa, w: InfiniteWord) -> Fuel:
-    if w.universality != FACTOR_UNIVERSAL or w.occurrence_bound is None:
-        raise ValueError("--fuel is required: the generator does not advertise factor-universality")
-    return Fuel(max(1, w.occurrence_bound(find_definitive_word(a))))
 
 
 def _tracer(enabled: bool) -> Callable[[int, object], None] | None:
@@ -206,20 +195,16 @@ def _cmd_decide(args: argparse.Namespace) -> int:
                 f"past stage {THEOREM1_STAGE_LIMIT}; pass --fuel"
             )
         return _report(decide_prefix_theorem1(a, w.machines, w, _tracer(args.trace)))
-    if args.fuel is not None:
-        fuel = Fuel(args.fuel)
-    else:
-        # The Büchi decider runs the prefix decider on the dead-lock-accepting
-        # variant; the resolution bound is that automaton's definitive word.
-        fuel = _default_fuel(deadlock_accepting_variant(a) if args.buchi else a, w)
+    if args.fuel is None and (w.universality != FACTOR_UNIVERSAL or w.occurrence_bound is None):
+        raise ValueError("--fuel is required: the generator does not advertise factor-universality")
     decider = decide_buchi if args.buchi else decide_prefix
-    return _report(decider(a, w, fuel, _tracer(args.trace)))
+    return _report(decider(a, w, args.fuel, _tracer(args.trace)))
 
 
 def _cmd_decide_infinite(args: argparse.Namespace) -> int:
     ea = parse_effective(_read(args.effective))
     w = universal_indexed_word()
-    fuel = Fuel(args.fuel) if args.fuel is not None else derived_fuel(ea, w)
+    fuel = args.fuel if args.fuel is not None else derived_fuel(ea, w)
     decider = decide_buchi_infinite if args.buchi else decide_prefix_infinite
     return _report(decider(ea, w, fuel, _tracer(args.trace)))
 

@@ -6,16 +6,16 @@ accepting state (Yes), enters a dead-lock state (No), or the stretch ends
 (FuelExhausted).  ``decide_prefix`` feeds it a deterministic automaton's
 table and the first ``fuel`` symbols; the effective and diagonal-word
 deciders feed it their own tables and stretches.  Against a
-factor-universal word both resolutions are guaranteed to arrive no later
-than the occurrence bound of a definitive word, so with that fuel the
-decider is total.
+factor-universal word both resolutions arrive no later than the occurrence
+bound of a definitive word of the automaton that is stepped; with
+``fuel=None`` every decider runs to that bound, so it is total.
 
 ``decide_buchi`` answers whether infinitely many prefixes are in the
 language: it runs the prefix decider on the variant automaton whose
 accepting set is the dead-lock set of the original and negates the answer
-with ``_negated``.  A Yes there means the original run is trapped away from
-accepting states (finitely many hits); a No means it never will be
-(infinitely many).
+with ``_negated``, and so derives the variant's fuel.  A Yes there means the
+original run is trapped away from accepting states (finitely many hits); a
+No means it never will be (infinitely many).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .automata import AlphabetMismatchError, Dfa, State, dead_lock_states
+from .definitive import find_definitive_word
 from .words import IndexedInfiniteWord, InfiniteWord
 
 YES = "Yes"
@@ -78,6 +79,13 @@ def _check_same_alphabet(a: Dfa, w: InfiniteWord) -> None:
         )
 
 
+def _occurrence_fuel(w: InfiniteWord | IndexedInfiniteWord, word: tuple) -> Fuel:
+    """Fuel that resolves the run along ``w`` of any automaton that has ``word`` as a definitive word."""
+    if w.occurrence_bound is None:
+        raise ValueError("word carries no occurrence bound; pass fuel explicitly")
+    return Fuel(max(1, w.occurrence_bound(word)))
+
+
 def _resolve(
     table: Mapping[tuple[State, object], State],
     q: State,
@@ -111,9 +119,9 @@ def _resolve(
     return FuelExhausted(n)
 
 
-def _stretch(w: InfiniteWord | IndexedInfiniteWord, fuel: Fuel | int) -> Iterator:
+def _stretch(w: InfiniteWord | IndexedInfiniteWord, fuel: Fuel) -> Iterator:
     """The first ``fuel`` symbols of ``w``; a budget past ``sys.maxsize`` is unbounded."""
-    budget = Fuel.of(fuel).max_steps
+    budget = fuel.max_steps
     return islice(w.iter_from(1), budget if budget < sys.maxsize else None)
 
 
@@ -127,14 +135,16 @@ def _negated(outcome: Outcome) -> Outcome:
 def decide_prefix(
     a: Dfa,
     w: InfiniteWord,
-    fuel: Fuel | int,
+    fuel: Fuel | int | None = None,
     on_step: Callable[[int, object], None] | None = None,
 ) -> Outcome:
     """Does L(a) contain a prefix of w?  Resolution by accept or dead-lock.
 
+    ``fuel=None`` is the occurrence bound of ``find_definitive_word(a)``.
     ``on_step(position, state)`` is called for position 0 (initial state)
     and after every symbol read, before the verdict checks.
     """
+    fuel = Fuel.of(fuel) if fuel is not None else _occurrence_fuel(w, find_definitive_word(a))
     _check_same_alphabet(a, w)
     return _resolve(a.delta, a.initial, _stretch(w, fuel), a.accepting, dead_lock_states(a), on_step)
 
@@ -147,7 +157,7 @@ def deadlock_accepting_variant(a: Dfa) -> Dfa:
 def decide_buchi(
     a: Dfa,
     w: InfiniteWord,
-    fuel: Fuel | int,
+    fuel: Fuel | int | None = None,
     on_step: Callable[[int, object], None] | None = None,
 ) -> Outcome:
     """Does L(a) contain infinitely many prefixes of w?
@@ -157,7 +167,7 @@ def decide_buchi(
     state from which dead-locks are unreachable (accepting states stay
     reachable forever, and a factor-universal word realizes them forever).
     Both events are exactly the resolutions of the prefix decider on the
-    dead-lock-accepting variant, so its answer is negated.
+    dead-lock-accepting variant, so its answer is negated; ``fuel=None`` is the variant's bound.
     """
     return _negated(decide_prefix(deadlock_accepting_variant(a), w, fuel, on_step))
 

@@ -23,8 +23,6 @@ from .automata import (
     explore,
     relabel_bfs,
     shortlex_search,
-    shortlex_smallest,
-    with_initial,
 )
 
 
@@ -124,7 +122,7 @@ def find_definitive_word(a: Dfa) -> Word:
         a.states,
         dead_lock_states(a),
         lambda word, q: a.run(word, start=q),
-        lambda q: shortlex_smallest(with_initial(a, q)),
+        lambda q: shortlex_search(a.alphabet, q, a.accepting.__contains__, lambda p, s: a.delta[p, s]),
     )
 
 

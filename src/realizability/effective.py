@@ -39,7 +39,7 @@ from .automata import (
     meets,
     shortlex_search,
 )
-from .decide import Fuel, Outcome, _negated, _resolve, _stretch
+from .decide import Fuel, Outcome, _negated, _occurrence_fuel, _resolve, _stretch
 from .definitive import definitive_fold
 from .textio import FormatError, _tokenized
 from .words import EffectiveMorphism, IndexedInfiniteWord
@@ -104,15 +104,16 @@ class _DeltaTable:
 def decide_prefix_infinite(
     ea: EffectiveAutomaton,
     w: IndexedInfiniteWord,
-    fuel: Fuel | int,
+    fuel: Fuel | int | None = None,
     on_step: Callable[[int, State], None] | None = None,
 ) -> Outcome:
     """Prefix realizability of an effective automaton along an indexed word.
 
     Same resolution kernel as the finite-alphabet decider: accept visit
     means Yes, dead-lock entry means No, and dead-locks are computed up
-    front from the existence predicate.
+    front from the existence predicate.  ``fuel=None`` is ``derived_fuel(ea, w)``.
     """
+    fuel = Fuel.of(fuel) if fuel is not None else derived_fuel(ea, w)
     dead = effective_dead_locks(ea)
     return _resolve(_DeltaTable(ea.delta), ea.initial, _stretch(w, fuel), ea.accepting, dead, on_step)
 
@@ -120,10 +121,10 @@ def decide_prefix_infinite(
 def decide_buchi_infinite(
     ea: EffectiveAutomaton,
     w: IndexedInfiniteWord,
-    fuel: Fuel | int,
+    fuel: Fuel | int | None = None,
     on_step: Callable[[int, State], None] | None = None,
 ) -> Outcome:
-    """Infinitely many accepted prefixes?  Dead-lock-accepting variant, negated."""
+    """Infinitely many accepted prefixes?  Dead-lock-accepting variant (and its fuel), negated."""
     variant = ea.with_accepting(effective_dead_locks(ea))
     return _negated(decide_prefix_infinite(variant, w, fuel, on_step))
 
@@ -156,8 +157,13 @@ def definitive_index_sequence(ea: EffectiveAutomaton) -> tuple[int, ...]:
     dead = effective_dead_locks(ea)
 
     def witness(start: State) -> tuple[int, ...]:
+        returned = {start}  # shortlex_search skips states it has reached: no predicate call for them
+
         def step(p: State | None, q: State) -> State | None:
-            return q if p is not None and ea.exists_transition(p, q) else None  # None is the sink
+            if p is None or q in returned or not ea.exists_transition(p, q):
+                return None  # the sink
+            returned.add(q)
+            return q
 
         path = shortlex_search(ea.states, start, ea.accepting.__contains__, step)
         assert path is not None  # start was not dead-locked
@@ -174,10 +180,7 @@ def definitive_index_sequence(ea: EffectiveAutomaton) -> tuple[int, ...]:
 
 def derived_fuel(ea: EffectiveAutomaton, w: IndexedInfiniteWord) -> Fuel:
     """Fuel sufficient for resolution: occurrence bound of a definitive sequence."""
-    if w.occurrence_bound is None:
-        raise ValueError("word carries no occurrence bound; pass fuel explicitly")
-    seq = definitive_index_sequence(ea)
-    return Fuel(max(1, w.occurrence_bound(seq)))
+    return _occurrence_fuel(w, definitive_index_sequence(ea))
 
 
 class AugmentedState(NamedTuple):
@@ -245,21 +248,14 @@ def decide_prefix_morphism(
 
     Evidence positions count indexed symbols, not image symbols.
     """
-    ea = reduce_morphism_automaton(a, phi)
-    if fuel is None:
-        fuel = derived_fuel(ea, w)
-    return decide_prefix_infinite(ea, w, fuel)
+    return decide_prefix_infinite(reduce_morphism_automaton(a, phi), w, fuel)
 
 
 def decide_buchi_morphism(
     a: Dfa, phi: EffectiveMorphism, w: IndexedInfiniteWord, fuel: Fuel | int | None = None
 ) -> Outcome:
     """Are infinitely many prefixes of the image realized?  Variant + negation."""
-    ea = reduce_morphism_automaton(a, phi)
-    variant = ea.with_accepting(effective_dead_locks(ea))
-    if fuel is None:
-        fuel = derived_fuel(variant, w)
-    return _negated(decide_prefix_infinite(variant, w, fuel))
+    return decide_buchi_infinite(reduce_morphism_automaton(a, phi), w, fuel)
 
 
 # ---------------------------------------------------------------------------

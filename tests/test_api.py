@@ -8,7 +8,10 @@ layouts that ``bench/workloads.py`` uses directly.
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
+
+import pytest
 
 import realizability
 from conftest import MACHINES_TEXT
@@ -164,6 +167,22 @@ def test_stage_record_fields():
     assert "".join(stage.machine_word) == "1011001"
     assert stage.patch_word == ()
 
+
+
+@pytest.mark.parametrize(
+    "name", ["decide_prefix", "decide_buchi", "decide_prefix_infinite", "decide_buchi_infinite"]
+)
+def test_deciders_take_optional_fuel_then_on_step(name):
+    # fuel=None derives the budget from the automaton the decider steps
+    params = list(inspect.signature(getattr(realizability, name)).parameters.values())
+    assert [(p.name, p.default) for p in params[2:]] == [("fuel", None), ("on_step", None)]
+    assert [p.default for p in params[:2]] == [inspect.Parameter.empty] * 2
+
+
+@pytest.mark.parametrize("name", ["decide_prefix_morphism", "decide_buchi_morphism"])
+def test_morphism_deciders_take_optional_fuel(name):
+    params = list(inspect.signature(getattr(realizability, name)).parameters.values())
+    assert [(p.name, p.default) for p in params[3:]] == [("fuel", None)]
 
 
 def test_no_module_imports_a_name_it_never_uses():

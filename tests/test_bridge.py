@@ -279,6 +279,19 @@ class TestMachines:
         with pytest.raises(ValueError, match=r"^line 2: expected 'key: values', got 'machine m'$"):
             parse_machines("# intro\nmachine m\nstart: s\n")
 
+    def test_repeated_start_line_rejected(self):
+        with pytest.raises(ValueError, match=r"^line 3: duplicate 'start' line$"):
+            parse_machines("machine: m\nstart: s0\nstart: s1\ntrans: s0 _ x R s1\n")
+
+    def test_repeated_transition_rejected(self):
+        # the second rule would silently replace the first and change the word
+        with pytest.raises(ValueError, match=r"^line 4: duplicate transition for \('s0', '_'\)$"):
+            parse_machines("machine: m\nstart: s0\ntrans: s0 _ x R s1\ntrans: s0 _ _ L s0\n")
+
+    def test_each_machine_has_its_own_start_and_rules(self):
+        machine = "start: s\ntrans: s _ x R s\n"
+        assert len(parse_machines(f"machine: a\n{machine}machine: b\n{machine}")) == 2
+
 
 class TestBlocks:
     def test_block_words(self):

@@ -463,6 +463,23 @@ class TestWordDump:
         assert code == 0
         assert out == "1011011001\n"
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("start: s9", "line 3: duplicate 'start' line"),
+            ("trans: s0 _ _ L s0", "line 4: duplicate transition for ('s0', '_')"),
+        ],
+    )
+    def test_theorem1_repeated_machine_line(self, tmp_path, capsys, line, message):
+        lines = MACHINES.splitlines()
+        lines.insert(3 if line.startswith("trans") else 2, line)
+        path = tmp_path / "repeated.txt"
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["word", "dump", "--gen", "theorem1", "--machines", str(path), "--upto", "10"])
+        captured = capsys.readouterr()
+        assert_one_error_line(code, captured)
+        assert captured.err == f"error: {message}\n"
+
 
 class TestErrors:
     def test_unknown_subcommand(self, capsys):
@@ -568,3 +585,26 @@ class TestUsageOutput:
         monkeypatch.setattr(sys, "argv", ["realizability", "word", "dump", "--gen", "champernowne", "--upto", "6"])
         assert main() == 0
         assert capsys.readouterr().out == "010001\n"
+
+
+# decide-prefix and decide-buchi calls with their stdout, stderr and exit
+# code, recorded while the CLI still chose the automaton whose definitive word
+# sets the fuel; the deciders derive it now, and the output must not change.
+# An argv token ``@name`` is the path of the fixture file ``name``.
+DECIDE_FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "cli_decide.json").read_text("utf-8"))
+
+
+@pytest.fixture(scope="module")
+def decide_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("decide")
+    for name, text in DECIDE_FIXTURE["files"].items():
+        (root / name).write_text(text, encoding="utf-8")
+    return root
+
+
+def test_decide_calls_are_byte_identical(decide_files, capsys):
+    for case in DECIDE_FIXTURE["cases"]:
+        argv = [str(decide_files / a[1:]) if a.startswith("@") else a for a in case["argv"]]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err, code) == (case["stdout"], case["stderr"], case["code"]), case["argv"]

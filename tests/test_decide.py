@@ -89,10 +89,30 @@ class TestDecidePrefix:
         with pytest.raises(AlphabetMismatchError):
             decide_prefix(b, w, 10)
 
+    def test_fuel_is_checked_before_the_alphabet(self):
+        abc = champernowne(BINARY.of("abc"))
+        with pytest.raises(ValueError, match="fuel must be positive"):
+            decide_prefix(counter(2), abc, 0)
+        with pytest.raises(AlphabetMismatchError):
+            decide_prefix(counter(2), abc)
+
     def test_on_step_trace(self, a_contains1):
         trace: list[tuple[int, object]] = []
         decide_prefix(a_contains1, W, 100, on_step=lambda n, q: trace.append((n, q)))
         assert trace == [(0, "s0"), (1, "s0"), (2, "s1")]
+
+    def test_omitted_fuel_is_the_definitive_words_bound(self):
+        rng = random.Random(431)
+        for _ in range(60):
+            a = random_dfa(rng, max_states=5)
+            assert decide_prefix(a, W) == decide_prefix(a, W, default_fuel(a))
+            assert decide_buchi(a, W) == decide_buchi(a, W, default_fuel(deadlock_accepting_variant(a)))
+
+    def test_omitted_fuel_needs_an_occurrence_bound(self, a_contains1):
+        zeros = ultimately_periodic("", "0", alphabet=BINARY)
+        for decide in (decide_prefix, decide_buchi):
+            with pytest.raises(ValueError, match="no occurrence bound"):
+                decide(a_contains1, zeros)
 
     def test_derived_fuel_always_resolves(self):
         rng = random.Random(401)

@@ -11,6 +11,10 @@ The breadth-first searches that the library folded onto one closure and one
 shortlex search are checked against test-only copies of the loops they
 replaced, on seeded ``helpers.random_nfa`` draws and on parsed
 ``inputs.random_effective`` automata.
+
+The deciders run with their fuel omitted, so each derives its own budget
+from the automaton it steps; the reference runs until its verdict, and the
+two must agree on the answer and its evidence position.
 """
 
 from __future__ import annotations
@@ -31,10 +35,18 @@ from realizability import (  # noqa: E402
     AlphabetMismatchError,
     Dfa,
     EffectiveAutomaton,
+    EffectiveMorphism,
     MullerAutomaton,
     Nfa,
     buchi_accepts_ultper,
+    champernowne,
     dead_lock_states,
+    decide_buchi,
+    decide_buchi_infinite,
+    decide_buchi_morphism,
+    decide_prefix,
+    decide_prefix_infinite,
+    decide_prefix_morphism,
     definitive_index_sequence,
     limit_set_ultper,
     muller_accepts_ultper,
@@ -42,6 +54,9 @@ from realizability import (  # noqa: E402
     reachable_closure,
     reachable_states,
     relabel_bfs,
+    universal_indexed_word,
+    zero_one_blocks,
+    zero_one_runs,
 )
 from realizability.automata import nfa_of  # noqa: E402
 from test_effective import eager_index_sequence  # noqa: E402
@@ -206,3 +221,50 @@ def test_definitive_index_sequence_on_parsed_automata():
     # the eager fold of test_effective.py, on the benchmark's effective automata
     for _rng, ea in parsed_effective(907):
         assert definitive_index_sequence(ea) == eager_index_sequence(ea)
+
+
+def agree(outcome, expected: tuple, seen: set) -> bool:
+    """Does a library outcome give the reference's answer and evidence?
+    Records (answer, evidence > 0), so a test can check that its draws
+    reach both answers and verdicts past the start state."""
+    seen.add((expected[0], expected[1] > 0))
+    return (outcome.answer, outcome.evidence) == expected
+
+
+@ALPHABETS
+def test_deciders_along_champernowne(alphabet):
+    w = champernowne(alphabet)
+    ref_word = reference.Champernowne("".join(alphabet.symbols))
+    seen: set = set()
+    for _rng, a, t in draws(908, alphabet):
+        assert agree(decide_prefix(a, w), reference.prefix_verdict(t, ref_word), seen)
+        assert agree(decide_buchi(a, w), reference.buchi_verdict(t, ref_word), seen)
+    assert {("Yes", True), ("No", True), ("Yes", False), ("No", False)} <= seen
+
+
+@pytest.mark.parametrize("kind", ["runs", "blocks", "periodic"])
+def test_morphism_deciders(kind):
+    w, universal = universal_indexed_word(), reference.Universal()
+    fixed = {"runs": (inputs.RUNS, zero_one_runs()), "blocks": (inputs.BLOCKS, zero_one_blocks())}
+    seen: set = set()
+    for rng, a, t in draws(909, BINARY):
+        if kind in fixed:
+            spec, phi = fixed[kind]
+        else:
+            spec = inputs.random_periodic(rng)
+            phi = EffectiveMorphism.index_periodic(spec[1], BINARY)
+        for decide, buchi in ((decide_prefix_morphism, False), (decide_buchi_morphism, True)):
+            assert agree(decide(a, phi, w), reference.morphism_verdict(t, spec, universal, buchi), seen)
+    assert {("Yes", True), ("No", True), ("Yes", False), ("No", False)} <= seen
+
+
+def test_effective_deciders_on_parsed_automata():
+    rng = random.Random(910)
+    w, universal = universal_indexed_word(), reference.Universal()
+    seen: set = set()
+    for _ in range(DRAWS):
+        e = inputs.random_effective(rng)
+        ea = parse_effective(inputs.effective_text(e))
+        assert agree(decide_prefix_infinite(ea, w), reference.effective_verdict(e, universal, False), seen)
+        assert agree(decide_buchi_infinite(ea, w), reference.effective_verdict(e, universal, True), seen)
+    assert {("Yes", True), ("No", True), ("Yes", False), ("No", False)} <= seen

@@ -60,6 +60,21 @@ etrans: q1 q1 all
 """
 
 
+# q0 is accepting and index 4, first read at position 103 of the universal
+# word, moves it into the dead-lock q1: infinitely many accepted prefixes is
+# No at 103.  The automaton's own definitive sequence (empty: q0 accepts)
+# gives fuel 1; the dead-lock-accepting variant's gives enough.
+BUCHI_FUEL_CASE = """\
+states: q0 q1
+initial: q0
+accepting: q0
+etrans: q0 q0 0%1 -4
+etrans: q0 q1 +4
+etrans: q1 q1 0%2
+etrans: q1 q1 1%2
+"""
+
+
 def parity_automaton(accepting: frozenset[str]) -> EffectiveAutomaton:
     """Odd indices move q0 to q1; q1 absorbs everything."""
     rules = {
@@ -220,6 +235,29 @@ class TestDecideInfinite:
         ea = parity_automaton(frozenset({"q1"}))
         with pytest.raises(ValueError):
             derived_fuel(ea, indexed_periodic((1,)))
+        for decide in (decide_prefix_infinite, decide_buchi_infinite):
+            with pytest.raises(ValueError, match="no occurrence bound"):
+                decide(ea, indexed_periodic((1,)))
+
+    def test_omitted_fuel_is_derived_from_the_stepped_automaton(self):
+        rng = random.Random(441)
+        w = universal_indexed_word()
+        for phi in (zero_one_runs(), zero_one_blocks()):
+            for _ in range(20):
+                a = random_dfa(rng, max_states=3)
+                ea = reduce_morphism_automaton(a, phi)
+                variant = ea.with_accepting(effective_dead_locks(ea))
+                prefix = decide_prefix_infinite(ea, w, derived_fuel(ea, w))
+                buchi = decide_buchi_infinite(ea, w, derived_fuel(variant, w))
+                assert decide_prefix_infinite(ea, w) == decide_prefix_morphism(a, phi, w) == prefix
+                assert decide_buchi_infinite(ea, w) == decide_buchi_morphism(a, phi, w) == buchi
+
+    def test_buchi_fuel_comes_from_the_variant(self):
+        ea = parse_effective(BUCHI_FUEL_CASE)
+        w = universal_indexed_word()
+        assert derived_fuel(ea, w).max_steps == 1
+        assert decide_buchi_infinite(ea, w, derived_fuel(ea, w)) == FuelExhausted(1)
+        assert decide_buchi_infinite(ea, w) == Verdict("No", 103, 103)
 
     def test_buchi_infinite(self):
         w = universal_indexed_word()
@@ -257,6 +295,28 @@ class TestDecideInfinite:
         )
         assert outcome == Verdict("No", 1, 1)
         assert trace == [(0, "q0"), (1, "q1")]
+
+    def test_witness_search_asks_nothing_about_states_it_has_had(self):
+        # q0 -odd-> q1 -odd-> q2 (accepting, absorbing); even indices go back to q0
+        rules = {
+            "q0": [(IndexSet(((0, 2),)), "q0"), (IndexSet(((1, 2),)), "q1")],
+            "q1": [(IndexSet(((0, 2),)), "q0"), (IndexSet(((1, 2),)), "q2")],
+            "q2": [(IndexSet(((0, 1),)), "q2")],
+        }
+        base = effective_from_index_sets(("q0", "q1", "q2"), rules, "q0", frozenset({"q2"}))
+        asked: list[tuple[str, str]] = []
+
+        def exists(p: str, q: str) -> bool:
+            asked.append((p, q))
+            return base.exists_transition(p, q)
+
+        ea = EffectiveAutomaton(base.states, base.delta, exists, base.initial, base.accepting)
+        assert definitive_index_sequence(ea) == (1, 1)
+        assert asked == [
+            ("q0", "q2"), ("q1", "q2"), ("q0", "q1"),  # dead-locks, backward from q2
+            ("q0", "q1"), ("q0", "q2"), ("q1", "q2"),  # the witness search from q0
+            ("q0", "q1"), ("q1", "q2"),  # the least index of each edge on its path
+        ]
 
     def test_definitive_index_sequence_resolves_all_starts(self):
         for accepting in (frozenset({"q1"}), frozenset({"q0"}), frozenset({"q0", "q1"})):
