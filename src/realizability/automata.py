@@ -25,8 +25,6 @@ class AlphabetMismatchError(ValueError):
 
 def as_word(w: str | Iterable[Symbol]) -> Word:
     """Coerce a string (one symbol per character) or symbol iterable to a Word."""
-    if isinstance(w, str):
-        return tuple(w)
     return tuple(w)
 
 

@@ -46,10 +46,8 @@ from .automata import (
     Word,
     as_dfa,
     as_word,
-    concatenate,
     dead_lock_states,
-    determinize,
-    literal_dfa,
+    explore,
     meets,
     relabel_bfs,
     shortlex_search,
@@ -161,36 +159,25 @@ def rr_to_prefix(r: Dfa, hash_symbol: Symbol = "#") -> Dfa:
     A prefix of the enumerating word lies in this language iff one of its
     complete chunks is a word of L(r), which happens for some prefix iff the
     filter language meets L(r).
+
+    One product over pairs (state of r on the current chunk, whether the
+    chunk just closed by # was accepted): a symbol of Sigma steps r and
+    clears the flag, # restarts r and sets the flag iff r accepted the chunk,
+    and the flagged pairs accept.  Only ``(r.initial, True)`` is flagged, so
+    the result has at most one state more than r has reachable states.
     """
     if hash_symbol in r.alphabet:
         raise ValueError(f"separator {hash_symbol!r} already in the automaton alphabet")
     sigma_hash = Alphabet(r.alphabet.symbols + (hash_symbol,))
+    delta, accepting = r.delta, r.accepting
 
-    # (Sigma* #)*: empty or ending in #
-    chunks = Dfa(
-        sigma_hash,
-        ("at_boundary", "mid_chunk"),
-        {
-            ("at_boundary", hash_symbol): "at_boundary",
-            ("mid_chunk", hash_symbol): "at_boundary",
-            **{("at_boundary", s): "mid_chunk" for s in r.alphabet},
-            **{("mid_chunk", s): "mid_chunk" for s in r.alphabet},
-        },
-        "at_boundary",
-        frozenset({"at_boundary"}),
-    )
+    def step(pair: tuple[State, bool], s: Symbol) -> tuple[State, bool]:
+        q = pair[0]
+        return (r.initial, q in accepting) if s == hash_symbol else (delta[q, s], False)
 
-    sink = ("lifted_sink",)
-    lifted_states = r.states + (sink,)
-    lifted_delta = {(q, s): r.delta[(q, s)] for q in r.states for s in r.alphabet}
-    for q in r.states:
-        lifted_delta[(q, hash_symbol)] = sink
-    for s in sigma_hash:
-        lifted_delta[(sink, s)] = sink
-    lifted = Dfa(sigma_hash, lifted_states, lifted_delta, r.initial, r.accepting)
-
-    closing = literal_dfa((hash_symbol,), sigma_hash)
-    return relabel_bfs(determinize(concatenate(concatenate(chunks, lifted), closing)))
+    initial = (r.initial, False)
+    order, moves = explore(sigma_hash, initial, step)
+    return relabel_bfs(Dfa(sigma_hash, order, moves, initial, frozenset(p for p in order if p[1])))
 
 
 def prefix_via_rr(

@@ -20,7 +20,6 @@ Transition existence asks the image-language oracle about one flag product
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
@@ -81,13 +80,12 @@ def effective_dead_locks(ea: EffectiveAutomaton) -> frozenset[State]:
     transition into an alive state, so the predicate is asked once per ordered pair.
     """
     alive = set(ea.accepting)
-    queue = deque(q for q in ea.states if q in alive)
-    while queue:
-        q = queue.popleft()
+    order = [q for q in ea.states if q in alive]
+    for q in order:  # appending while iterating makes the list a FIFO queue
         for p in ea.states:
             if p not in alive and ea.exists_transition(p, q):
                 alive.add(p)
-                queue.append(p)
+                order.append(p)
     return frozenset(q for q in ea.states if q not in alive)
 
 
@@ -113,8 +111,9 @@ def decide_prefix_infinite(
     means Yes, dead-lock entry means No, and dead-locks are computed up
     front from the existence predicate.  ``fuel=None`` is ``derived_fuel(ea, w)``.
     """
-    fuel = Fuel.of(fuel) if fuel is not None else derived_fuel(ea, w)
+    explicit = Fuel.of(fuel) if fuel is not None else None  # a bad budget is reported first
     dead = effective_dead_locks(ea)
+    fuel = explicit or _occurrence_fuel(w, _index_sequence(ea, dead))
     return _resolve(_DeltaTable(ea.delta), ea.initial, _stretch(w, fuel), ea.accepting, dead, on_step)
 
 
@@ -154,7 +153,11 @@ def definitive_index_sequence(ea: EffectiveAutomaton) -> tuple[int, ...]:
     least witness index.  The same fold as in the finite-alphabet
     construction stitches the witnesses together.
     """
-    dead = effective_dead_locks(ea)
+    return _index_sequence(ea, effective_dead_locks(ea))
+
+
+def _index_sequence(ea: EffectiveAutomaton, dead: frozenset[State]) -> tuple[int, ...]:
+    """``definitive_index_sequence(ea)`` given the dead-lock set of ``ea``."""
 
     def witness(start: State) -> tuple[int, ...]:
         returned = {start}  # shortlex_search skips states it has reached: no predicate call for them

@@ -74,7 +74,7 @@ def _collect(text: str, kind: str) -> dict:
                 raise FormatError(line_no, f"duplicate {key!r} line")
             seen[key] = tokens
             seen["line_of"][key] = line_no
-    for required in allowed - {"trans", "macro", "accepting"}:
+    for required in ("alphabet", "states", "initials" if kind == "nfa" else "initial"):  # in line order
         if required not in seen:
             raise FormatError(1, f"missing {required!r} line")
     return seen

@@ -209,11 +209,7 @@ def ultimately_periodic(u: Word | str, v: Word | str, alphabet: Alphabet | None 
     if not loop:
         raise ValueError("periodic part must be non-empty")
     if alphabet is None:
-        seen: list[Symbol] = []
-        for s in stem + loop:
-            if s not in seen:
-                seen.append(s)
-        alphabet = Alphabet(tuple(seen))
+        alphabet = Alphabet(tuple(dict.fromkeys(stem + loop)))  # symbols in order of first use
     else:
         _check_word(alphabet, stem + loop)
 

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from conftest import MACHINES_TEXT
-from helpers import BINARY, random_dfa
+from helpers import ABC, BINARY, random_dfa
 from realizability import (
     Alphabet,
     AlphabetMismatchError,
@@ -37,6 +37,7 @@ from realizability import (
     literal_dfa,
     parse_machines,
     prefix_via_rr,
+    reachable_states,
     regex_dfa,
     relabel_bfs,
     rr_pipeline,
@@ -116,7 +117,38 @@ class TestFilterToWord:
         assert not oracle(literal_dfa("0", ext))  # no separator, no image
 
 
+def chained_rr_to_prefix(r: Dfa, hash_symbol: str = "#") -> Dfa:
+    """The earlier construction of ``rr_to_prefix``: ``(Sigma* #)*``, r lifted
+    to the #-extended alphabet with a sink on #, and the closing ``#``, glued
+    by two concatenations and determinized."""
+    sigma_hash = Alphabet(r.alphabet.symbols + (hash_symbol,))
+    chunks_delta = {("at_boundary", hash_symbol): "at_boundary", ("mid_chunk", hash_symbol): "at_boundary"}
+    for s in r.alphabet:
+        chunks_delta["at_boundary", s] = chunks_delta["mid_chunk", s] = "mid_chunk"
+    chunks = Dfa(sigma_hash, ("at_boundary", "mid_chunk"), chunks_delta, "at_boundary", frozenset({"at_boundary"}))
+    sink = ("lifted_sink",)
+    lifted_delta = {(q, s): r.delta[q, s] for q in r.states for s in r.alphabet}
+    lifted_delta.update({(q, hash_symbol): sink for q in r.states})
+    lifted_delta.update({(sink, s): sink for s in sigma_hash})
+    lifted = Dfa(sigma_hash, r.states + (sink,), lifted_delta, r.initial, r.accepting)
+    closing = literal_dfa((hash_symbol,), sigma_hash)
+    return relabel_bfs(determinize(concatenate(concatenate(chunks, lifted), closing)))
+
+
 class TestRrToPrefix:
+    @pytest.mark.parametrize("alphabet", [BINARY, ABC], ids=["01", "abc"])
+    def test_pair_product_against_the_concatenation_chain(self, alphabet):
+        rng = random.Random(f"rr-pairs/{''.join(alphabet.symbols)}")
+        accepts_empty_word = empty_language = 0
+        for _ in range(150):
+            r = random_dfa(rng, max_states=6, alphabet=alphabet)
+            b = rr_to_prefix(r)
+            assert equivalent(b, chained_rr_to_prefix(r)), r
+            assert len(b.states) <= len(reachable_states(r)) + 1, r
+            accepts_empty_word += r.initial in r.accepting
+            empty_language += is_empty(r)
+        assert accepts_empty_word and empty_language
+
     def test_language_shape(self):
         r = literal_dfa("00", BINARY)
         b = rr_to_prefix(r)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from realizability import Alphabet, Dfa, equivalent
 from realizability.cli import DUMP_LIMIT, THEOREM1_STAGE_LIMIT, main
 
 CONTAINS1 = """\
@@ -594,17 +595,61 @@ class TestUsageOutput:
 DECIDE_FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "cli_decide.json").read_text("utf-8"))
 
 
-@pytest.fixture(scope="module")
-def decide_files(tmp_path_factory):
-    root = tmp_path_factory.mktemp("decide")
-    for name, text in DECIDE_FIXTURE["files"].items():
+def written(tmp_path_factory, fixture: dict) -> Path:
+    """A fresh directory holding the fixture's files."""
+    root = tmp_path_factory.mktemp("calls")
+    for name, text in fixture["files"].items():
         (root / name).write_text(text, encoding="utf-8")
     return root
 
 
+def resolved(root: Path, argv: list[str]) -> list[str]:
+    return [str(root / a[1:]) if a.startswith("@") else a for a in argv]
+
+
+@pytest.fixture(scope="module")
+def decide_files(tmp_path_factory):
+    return written(tmp_path_factory, DECIDE_FIXTURE)
+
+
 def test_decide_calls_are_byte_identical(decide_files, capsys):
     for case in DECIDE_FIXTURE["cases"]:
-        argv = [str(decide_files / a[1:]) if a.startswith("@") else a for a in case["argv"]]
+        argv = resolved(decide_files, case["argv"])
         code = main(argv)
         captured = capsys.readouterr()
         assert (captured.out, captured.err, code) == (case["stdout"], case["stderr"], case["code"]), case["argv"]
+
+
+# rr --show-reduction calls over the benchmark's three filters, with seeded
+# automaton files of 1-4 states and seeded regular expressions, recorded while
+# rr_to_prefix still determinized two concatenations.  Answers and exit codes
+# must not change; the reduction on stderr may shrink but keeps its language.
+RR_FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "cli_rr.json").read_text("utf-8"))
+
+
+def read_reduction(text: str) -> Dfa:
+    """The automaton ``serialize_dfa`` printed, read without ``parse_dfa``,
+    which would take the ``#`` separator for the start of a comment."""
+    fields, delta = {}, {}
+    for line in text.splitlines():
+        key, _, rest = line.partition(":")
+        if key == "trans":
+            src, sym, dst = rest.split()
+            delta[src, sym] = dst
+        else:
+            fields[key] = rest.split()
+    (initial,) = fields["initial"]
+    alphabet, states = Alphabet(tuple(fields["alphabet"])), tuple(fields["states"])
+    return Dfa(alphabet, states, delta, initial, frozenset(fields["accepting"]))
+
+
+def test_rr_calls_keep_their_answers(tmp_path_factory, capsys):
+    root = written(tmp_path_factory, RR_FIXTURE)
+    assert {case["code"] for case in RR_FIXTURE["cases"]} == {0, 1}
+    for case in RR_FIXTURE["cases"]:
+        code = main(resolved(root, case["argv"]))
+        captured = capsys.readouterr()
+        assert (captured.out, code) == (case["stdout"], case["code"]), case["argv"]
+        printed, recorded = read_reduction(captured.err), read_reduction(case["stderr"])
+        assert equivalent(printed, recorded), case["argv"]
+        assert len(printed.states) <= len(recorded.states), case["argv"]

@@ -14,7 +14,8 @@ replaced, on seeded ``helpers.random_nfa`` draws and on parsed
 
 The deciders run with their fuel omitted, so each derives its own budget
 from the automaton it steps; the reference runs until its verdict, and the
-two must agree on the answer and its evidence position.
+two must agree on the answer and its evidence position.  The definitive-word
+constructions and the rr pipeline are checked the same way.
 """
 
 from __future__ import annotations
@@ -33,11 +34,15 @@ import reference  # noqa: E402
 from helpers import ABC, BINARY, random_dfa, random_nfa  # noqa: E402
 from realizability import (  # noqa: E402
     AlphabetMismatchError,
+    DefinitiveCertificate,
     Dfa,
     EffectiveAutomaton,
     EffectiveMorphism,
+    FilterLanguage,
     MullerAutomaton,
     Nfa,
+    PassedAccepting,
+    Refutation,
     buchi_accepts_ultper,
     champernowne,
     dead_lock_states,
@@ -48,12 +53,16 @@ from realizability import (  # noqa: E402
     decide_prefix_infinite,
     decide_prefix_morphism,
     definitive_index_sequence,
+    definitive_witness,
+    find_definitive_word,
+    is_definitive,
     limit_set_ultper,
     muller_accepts_ultper,
     parse_effective,
     reachable_closure,
     reachable_states,
     relabel_bfs,
+    rr_pipeline,
     universal_indexed_word,
     zero_one_blocks,
     zero_one_runs,
@@ -268,3 +277,48 @@ def test_effective_deciders_on_parsed_automata():
         assert agree(decide_prefix_infinite(ea, w), reference.effective_verdict(e, universal, False), seen)
         assert agree(decide_buchi_infinite(ea, w), reference.effective_verdict(e, universal, True), seen)
     assert {("Yes", True), ("No", True), ("Yes", False), ("No", False)} <= seen
+
+
+def reference_form(a: Dfa, certificate: DefinitiveCertificate) -> list:
+    """A library certificate's per-start outcomes as ``reference.definitive_outcomes`` lists them."""
+    return [
+        ("pass", o.position) if isinstance(o, PassedAccepting) else ("dead", int(o.state[1:]))
+        for o in map(certificate.outcomes.__getitem__, a.states)
+    ]
+
+
+@ALPHABETS
+def test_definitive_words(alphabet):
+    longest = 4 if alphabet == BINARY else 3
+    definitive = refuted = 0
+    for _rng, a, t in draws(911, alphabet):
+        assert reference.is_definitive(t, "".join(find_definitive_word(a)))
+        assert "".join(definitive_witness(a)) == reference.least_definitive(t)
+        for w in reference.words_upto(t.symbols, longest):
+            expected = reference.definitive_outcomes(t, w)
+            outcome = is_definitive(a, w)
+            if None in expected:  # the library names the first refuted start state
+                assert outcome == Refutation(f"s{expected.index(None)}"), (a, w)
+                refuted += 1
+            else:
+                assert reference_form(a, outcome) == expected, (a, w)
+                definitive += 1
+    assert definitive and refuted
+
+
+def as_dfa_of(t: inputs.Table) -> Dfa:
+    """The library's view of a reference table over ``01``: state ``i`` is ``s<i>``."""
+    states = tuple(f"s{q}" for q in range(t.n))
+    delta = {(f"s{q}", s): f"s{t.step(q, s)}" for q in range(t.n) for s in t.symbols}
+    return Dfa(BINARY, states, delta, "s0", names(t.accepting))
+
+
+@pytest.mark.parametrize("f", range(len(inputs.FILTERS)))
+def test_rr_pipeline_on_the_benchmark_filters(f):
+    table = inputs.FILTERS[f]
+    lang = FilterLanguage.from_dfa(as_dfa_of(table))
+    enum, universal = reference.Enumeration(table), reference.Universal()
+    seen: set = set()
+    for t in inputs.all_tables("01", 1) + inputs.all_tables("01", 2):
+        assert agree(rr_pipeline(as_dfa_of(t), lang), reference.rr_verdict(t, table, enum, universal), seen), t
+    assert {("Yes", True), ("No", False)} <= seen

@@ -259,6 +259,32 @@ class TestDecideInfinite:
         assert decide_buchi_infinite(ea, w, derived_fuel(ea, w)) == FuelExhausted(1)
         assert decide_buchi_infinite(ea, w) == Verdict("No", 103, 103)
 
+    def test_omitted_fuel_reuses_the_dead_lock_set(self, monkeypatch):
+        # one dead-lock closure per stepped automaton: the prefix decider's,
+        # and for Büchi the original's (to build the variant) and the variant's
+        calls: list[EffectiveAutomaton] = []
+
+        def counted(ea: EffectiveAutomaton) -> frozenset:
+            calls.append(ea)
+            return effective_dead_locks(ea)
+
+        monkeypatch.setattr(effective_module, "effective_dead_locks", counted)
+        w, phi = universal_indexed_word(), zero_one_runs()
+        a = regex_dfa("0*1", BINARY)
+        ea = parse_effective(BUCHI_FUEL_CASE)
+        lang = FilterLanguage.from_dfa(regex_dfa("0+", BINARY))
+        decisions = {
+            "prefix_infinite": (lambda: decide_prefix_infinite(ea, w), 1),
+            "buchi_infinite": (lambda: decide_buchi_infinite(ea, w), 2),
+            "prefix_morphism": (lambda: decide_prefix_morphism(a, phi, w), 1),
+            "buchi_morphism": (lambda: decide_buchi_morphism(a, phi, w), 2),
+            "rr_pipeline": (lambda: rr_pipeline(regex_dfa("00", BINARY), lang), 1),
+        }
+        for name, (decide, expected) in decisions.items():
+            calls.clear()
+            assert isinstance(decide(), Verdict), name
+            assert len(calls) == expected, name
+
     def test_buchi_infinite(self):
         w = universal_indexed_word()
         # accepting q0: the run eventually falls into q1 and stays

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from helpers import random_dfa, random_nfa
+import realizability
 from realizability import (
     FormatError,
     MullerAutomaton,
@@ -73,6 +78,35 @@ trans: p 0 p
         with pytest.raises(FormatError) as err:
             parse_dfa("alphabet: 0 1\nstates p\n")
         assert err.value.line_no == 2
+
+    @pytest.mark.parametrize(
+        "parse, text, missing",
+        [
+            (parse_dfa, "accepting: s0\n", "alphabet"),
+            (parse_dfa, "alphabet: 0\ninitial: s0\n", "states"),
+            (parse_dfa, "alphabet: 0\nstates: s0\n", "initial"),
+            (parse_nfa, "states: s0\ninitials: s0\n", "alphabet"),
+            (parse_nfa, "alphabet: 0\nstates: s0\n", "initials"),
+            (parse_muller, "alphabet: 0\nmacro: s0\n", "states"),
+        ],
+    )
+    def test_first_missing_section_in_line_order(self, parse, text, missing):
+        with pytest.raises(FormatError, match=f"^line 1: missing '{missing}' line$"):
+            parse(text)
+
+    def test_missing_section_does_not_depend_on_the_hash_seed(self, tmp_path):
+        path = tmp_path / "accepting-only.aut"
+        path.write_text("accepting: s0\n", encoding="utf-8")
+        src = str(Path(realizability.__file__).resolve().parents[1])
+        for seed in range(8):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+            done = subprocess.run(
+                [sys.executable, "-m", "realizability.cli", "definitive", str(path)],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert (done.returncode, done.stdout, done.stderr) == (
+                3, "", "error: line 1: missing 'alphabet' line\n"
+            ), seed
 
     def test_round_trip_random(self):
         rng = random.Random(7)
