@@ -24,8 +24,8 @@ Three constructions live here:
 
 Blocks are words ``1 0^m 1`` (m >= 1 is the rank); block concatenations are
 self-delimiting, so a stage's discipline is checkable from the emitted
-ranks alone.  Each stage also replays the word so far through its automaton
-by ranks, one block per step, and finds its patch with one shortlex search.
+ranks alone.  Each stage also replays the word so far through its automaton,
+an integer table, one block per step, and finds its patch with one shortlex search.
 """
 
 from __future__ import annotations
@@ -224,13 +224,9 @@ def _is_canonical(a: Dfa) -> bool:
     )
 
 
-def decode_dfa(i: int) -> Dfa:
-    """The i-th canonical automaton (1-based) over the binary alphabet.
-
-    Within one state count the order is lexicographic on the transition
-    table (row-major over states, symbol order 0 then 1) followed by the
-    accepting bitmask (bit j set = state j+1 accepting).
-    """
+def _decode_table(i: int) -> tuple[list[tuple[int, int]], frozenset[int]]:
+    """``decode_dfa(i)`` on states 0..s-1, state 0 initial: each state's
+    (successor on 0, successor on 1), and the accepting states."""
     if i < 1:
         raise IndexError("canonical indices are 1-based")
     s = 1
@@ -246,14 +242,20 @@ def decode_dfa(i: int) -> Dfa:
         digits.append(table_rank % s)
         table_rank //= s
     digits.reverse()
-    states = tuple(f"q{j}" for j in range(1, s + 1))
-    delta: dict[tuple[State, Symbol], State] = {}
-    it = iter(digits)
-    for q in states:
-        for sym in BINARY:
-            delta[(q, sym)] = states[next(it)]
-    accepting = frozenset(states[j] for j in range(s) if mask >> j & 1)
-    return Dfa(BINARY, states, delta, "q1", accepting)
+    return list(zip(digits[0::2], digits[1::2])), frozenset(j for j in range(s) if mask >> j & 1)
+
+
+def decode_dfa(i: int) -> Dfa:
+    """The i-th canonical automaton (1-based) over the binary alphabet.
+
+    Within one state count the order is lexicographic on the transition
+    table (row-major over states, symbol order 0 then 1) followed by the
+    accepting bitmask (bit j set = state j+1 accepting).
+    """
+    table, accepting = _decode_table(i)
+    states = tuple(f"q{j}" for j in range(1, len(table) + 1))
+    delta = {(q, sym): states[t] for q, row in zip(states, table) for sym, t in zip(BINARY, row)}
+    return Dfa(BINARY, states, delta, "q1", frozenset(states[j] for j in accepting))
 
 
 def encode_dfa(a: Dfa) -> int:
@@ -282,10 +284,11 @@ def encode_dfa(a: Dfa) -> int:
 
 
 def _as_binary(a: Dfa) -> Dfa:
-    """Rename a two-symbol alphabet to 0/1 positionally (no-op when already 0/1)."""
+    """Rename a two-symbol alphabet to 0/1: by symbol if it is {0, 1}, else by position."""
     if a.alphabet == BINARY:
         return a
-    rename = dict(zip(a.alphabet.symbols, BINARY.symbols))
+    symbols = a.alphabet.symbols
+    rename = dict(zip(symbols, symbols if set(symbols) == set(BINARY) else BINARY.symbols))
     delta = {(q, rename[s]): a.delta[(q, s)] for q in a.states for s in a.alphabet}
     return Dfa(BINARY, a.states, delta, a.initial, a.accepting)
 
@@ -465,40 +468,39 @@ def split_blocks(w: Word) -> list[int]:
     return [len(zeros) for zeros in re.findall(r"1(0+)1", text)]
 
 
-def _block_rows(a: Dfa, top: int) -> dict[State, list[State]]:
-    """``rows[q][m]``: the state ``a`` reaches from q on ``Block(m).word``, m <= top."""
-    delta = a.delta
-    rows: dict[State, list[State]] = {}
-    for q in a.states:
-        p, row = delta[q, "1"], []
+def _block_rows(table: list[tuple[int, int]], top: int) -> list[list[int]]:
+    """``rows[q][m]``: the state the table reaches from q on ``Block(m).word``, m <= top."""
+    rows: list[list[int]] = []
+    for _, on1 in table:
+        p, row = on1, []
         for _ in range(top + 1):  # p is now past 1 0^m
-            row.append(delta[p, "1"])
-            p = delta[p, "0"]
-        rows[q] = row
+            row.append(table[p][1])
+            p = table[p][0]
+        rows.append(row)
     return rows
 
 
-def _patch_word(a: Dfa, q: State, blocks: Dfa) -> Word:
-    """Shortlex-least word of ``blocks`` along which ``a``, started in q,
-    passes an accepting state; () when there is none.
+def _patch_word(table: list[tuple[int, int]], accepting: frozenset[int], q: int, blocks: Dfa) -> Word:
+    """Shortlex-least word of ``blocks`` along which the table's automaton,
+    started in q, passes an accepting state; () when there is none.
 
-    One search over pairs of a state of ``a`` (None once an accepting state
-    was passed) and a state of ``blocks``.
+    One search over pairs of a state of the table (None once an accepting
+    state was passed) and a state of ``blocks``.
     """
-    delta, accepting = a.delta, a.accepting
+    succ = {sym: [None if row[j] in accepting else row[j] for row in table] for j, sym in enumerate(BINARY)}
 
     def step(pair: tuple, s: Symbol) -> tuple:
         p, b = pair
-        return (None if p is None or delta[p, s] in accepting else delta[p, s]), blocks.delta[b, s]
+        return (None if p is None else succ[s][p]), blocks.delta[b, s]
 
     start = (None if q in accepting else q, blocks.initial)
     patch = shortlex_search(BINARY, start, lambda pair: pair[0] is None and pair[1] in blocks.accepting, step)
     return patch if patch is not None else EPSILON
 
 
-def _blocks_word(ranks: tuple[int, ...]) -> Word:
-    """The concatenation of the blocks of the given ranks."""
-    return tuple(chain.from_iterable(Block(k).word for k in ranks))
+def _blocks_text(ranks: tuple[int, ...]) -> str:
+    """The concatenation of the blocks of the given ranks, as text."""
+    return "".join(["1" + "0" * k + "1" for k in ranks])
 
 
 @dataclass(frozen=True)
@@ -517,19 +519,20 @@ class Stage:
     @property
     def machine_word(self) -> Word:
         """One block per alive machine, ranks ascending."""
-        return _blocks_word(self.alive)
+        return tuple(_blocks_text(self.alive))
 
     @property
     def patch_word(self) -> Word:
         """Accepting-passage patch for the n-th automaton."""
-        return _blocks_word(self.patch_ranks)
+        return tuple(_blocks_text(self.patch_ranks))
 
 
 class Theorem1Word(InfiniteWord):
     """Diagonal word with per-stage records; fully determined by the machine list.
 
     The source yields one chunk per stage.  The word so far is kept as its
-    block ranks too: stage n replays about n^2/2 blocks, not n^3/6 symbols.
+    block ranks too: stage n replays about n^2/2 blocks, not n^3/6 symbols,
+    and only those since stage n - 1 when both stages share a transition table.
     """
 
     def __init__(self, machines: MachineList):
@@ -537,27 +540,34 @@ class Theorem1Word(InfiniteWord):
         self._stages: list[Stage] = []
         super().__init__(BINARY, source=lambda: chain.from_iterable(self._generate()))
 
-    def _generate(self) -> Iterator[Word]:
+    def _generate(self) -> Iterator[str]:
         ranks: list[int] = []
         top = emitted = 0  # the largest patch rank so far; machine ranks stay <= n
-        blocks: dict[frozenset[int], Dfa] = {}  # one per forbidden set; it grows as machines halt
+        alive: tuple[int, ...] = ()
+        forbidden: frozenset[int] = frozenset()
+        blocks = block_word_dfa(forbidden)
+        replayed_table, q, replayed = None, 0, 0
         for n in count(1):
-            alive = self.machines.alive_at(n)
-            forbidden = frozenset(range(1, n + 1)).difference(alive)
-            if forbidden not in blocks:
-                blocks[forbidden] = block_word_dfa(forbidden)
-            automaton = decode_dfa(n)
-            rows = _block_rows(automaton, max(n, top))
-            q = automaton.initial
-            for m in chain(ranks, alive):
+            # halting is monotone: only machines alive at n - 1, and n itself, can be alive at n
+            running = (*alive, n)
+            alive = tuple(k for k in running if not self.machines.halts_within(k, n))
+            if len(alive) < len(running):
+                forbidden = frozenset(range(1, n + 1)).difference(alive)
+                blocks = block_word_dfa(forbidden)
+            table, accepting = _decode_table(n)
+            rows = _block_rows(table, max(n, top))
+            ranks.extend(alive)
+            if table != replayed_table:  # the run depends on the table, not on the accepting states
+                replayed_table, q, replayed = table, 0, 0
+            for m in ranks[replayed:]:
                 q = rows[q][m]
-            patch_word = _patch_word(automaton, q, blocks[forbidden])
+            replayed = len(ranks)
+            patch_word = "".join(_patch_word(table, accepting, q, blocks))
             patch_ranks = tuple(split_blocks(patch_word))
             assert not (set(patch_ranks) & forbidden), "patch uses a forbidden block"
-            stage_word = _blocks_word(alive) + patch_word
+            stage_word = _blocks_text(alive) + patch_word
             emitted += len(stage_word)
             self._stages.append(Stage(n, alive, patch_ranks, emitted))
-            ranks.extend(alive)
             ranks.extend(patch_ranks)
             top = max((top, *patch_ranks))
             yield stage_word

@@ -49,7 +49,15 @@ from realizability import (
     with_initial,
     words_upto,
 )
-from realizability.bridge import Stage, _block_rows, _patch_word
+from realizability.bridge import Stage, _block_rows, _decode_table, _patch_word
+
+
+def table_of(a: Dfa) -> tuple[list[tuple[int, int]], frozenset[int]]:
+    """A binary automaton on states 0..s-1, numbered in the order of ``a.states``:
+    each state's (successor on 0, successor on 1), and the accepting states."""
+    index = {q: j for j, q in enumerate(a.states)}
+    table = [tuple(index[a.delta[q, sym]] for sym in BINARY) for q in a.states]
+    return table, frozenset(index[q] for q in a.accepting)
 
 
 class TestFilterLanguage:
@@ -241,6 +249,12 @@ class TestCanonicalEnumeration:
         assert len(decode_dfa(5898).states) == 3
         assert len(decode_dfa(5899).states) == 4
 
+    def test_table_decoder_matches_decode_dfa(self):
+        for i in list(range(1, 301)) + [66, 67, 5898, 5899]:
+            a = decode_dfa(i)
+            assert a.initial == a.states[0] == "q1"
+            assert _decode_table(i) == table_of(a), i
+
     def test_round_trip(self):
         for i in list(range(1, 300)) + [66, 67, 5898, 5899, 12345, 99999]:
             assert encode_dfa(decode_dfa(i)) == i
@@ -254,6 +268,20 @@ class TestCanonicalEnumeration:
         ab = Alphabet(("a", "b"))
         a = Dfa(ab, ("p",), {("p", "a"): "p", ("p", "b"): "p"}, "p", frozenset({"p"}))
         assert encode_dfa(a) == 2
+
+    def test_encode_keeps_the_symbols_of_a_reordered_binary_alphabet(self):
+        one_zero = Alphabet(("1", "0"))
+        contains1 = Dfa(
+            one_zero,
+            ("s0", "s1"),
+            {("s0", "1"): "s1", ("s0", "0"): "s0", ("s1", "1"): "s1", ("s1", "0"): "s1"},
+            "s0",
+            frozenset({"s1"}),
+        )
+        back = decode_dfa(encode_dfa(contains1))
+        assert back.accepts(("1",)) and not back.accepts(("0",))
+        for w in words_upto(BINARY, 6):
+            assert back.accepts(w) == contains1.accepts(w), w
 
     def test_encode_rejects_non_binary(self):
         abc = Alphabet(("a", "b", "c"))
@@ -533,9 +561,9 @@ class TestBlockReplay:
         rng = random.Random(801)
         for _ in range(200):
             a = random_dfa(rng, max_states=5)
-            rows = _block_rows(a, 15)
-            for q in a.states:
-                assert rows[q] == [a.run(Block(m).word, q) for m in range(16)]
+            rows = _block_rows(table_of(a)[0], 15)
+            for j, q in enumerate(a.states):
+                assert [a.states[p] for p in rows[j]] == [a.run(Block(m).word, q) for m in range(16)]
 
     def test_patch_matches_product_search(self):
         rng = random.Random(802)
@@ -543,10 +571,11 @@ class TestBlockReplay:
             a = random_dfa(rng, max_states=4, accept_p=0.3)
             forbidden = frozenset(k for k in range(1, 6) if rng.random() < 0.4)
             allowed = block_word_dfa(forbidden)
-            for q in a.states:
+            table, accepting = table_of(a)
+            for j, q in enumerate(a.states):
                 passes = absorbing_accepting(with_initial(a, q))
                 expected = shortlex_smallest(intersect(passes, allowed))
-                assert _patch_word(a, q, allowed) == (expected or ()), (a, q, forbidden)
+                assert _patch_word(table, accepting, j, allowed) == (expected or ()), (a, q, forbidden)
 
 
 class TestDecideTheorem1:

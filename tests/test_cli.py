@@ -653,3 +653,19 @@ def test_rr_calls_keep_their_answers(tmp_path_factory, capsys):
         printed, recorded = read_reduction(captured.err), read_reduction(case["stderr"])
         assert equivalent(printed, recorded), case["argv"]
         assert len(printed.states) <= len(recorded.states), case["argv"]
+
+
+# decide-prefix calls on the diagonal word for canonical automata 1-66 without
+# --fuel, a few with --trace, the refusal at 67 and --fuel calls past it, plus
+# a word dump, over two machine lists; recorded while each stage still stepped
+# a name-keyed automaton.  stdout, stderr and exit code must not change.
+THEOREM1_FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "cli_theorem1.json").read_text("utf-8"))
+
+
+def test_theorem1_calls_are_byte_identical(tmp_path_factory, capsys):
+    root = written(tmp_path_factory, THEOREM1_FIXTURE)
+    assert {case["code"] for case in THEOREM1_FIXTURE["cases"]} == {0, 1, 2, 3}
+    for case in THEOREM1_FIXTURE["cases"]:
+        code = main(resolved(root, case["argv"]))
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err, code) == (case["stdout"], case["stderr"], case["code"]), case["argv"]
