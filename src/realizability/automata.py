@@ -8,7 +8,7 @@ every breadth-first construction, so results are reproducible.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -455,9 +455,12 @@ def regex_dfa(pattern: str, alphabet: Alphabet) -> Dfa:
 
     Supported syntax: single-character literals (which must be alphabet
     symbols), ``.`` for any symbol, concatenation, ``|``, ``*``, ``+``,
-    ``?``, and parentheses.  No escapes or character classes.
+    ``?``, and parentheses.  No escapes or character classes.  Parsing builds
+    the position (Glushkov) automaton; one subset exploration determinizes it.
     """
+    Node = tuple[bool, frozenset[int], frozenset[int]]  # nullable, first and last positions
     pos = 0
+    follow: defaultdict[int, set[int]] = defaultdict(set)  # position i reads pattern[i]; -1 is the start
 
     def peek() -> str | None:
         return pattern[pos] if pos < len(pattern) else None
@@ -468,35 +471,34 @@ def regex_dfa(pattern: str, alphabet: Alphabet) -> Dfa:
         pos += 1
         return c
 
-    def parse_expr() -> Dfa:
-        branches = [parse_term()]
+    def parse_expr() -> Node:
+        nullable, first, last = parse_term()
         while peek() == "|":
             take()
-            branches.append(parse_term())
-        out = branches[0]
-        for b in branches[1:]:
-            out = union(out, b)
-        return out
+            n, f, l = parse_term()
+            nullable, first, last = nullable or n, first | f, last | l
+        return nullable, first, last
 
-    def parse_term() -> Dfa:
-        out = literal_dfa((), alphabet)  # empty word
+    def parse_term() -> Node:
+        nullable, first, last = True, frozenset(), frozenset()  # the empty word
         while peek() not in (None, "|", ")"):
-            out = as_dfa(concatenate(out, parse_factor()))
-        return out
+            n, f, l = parse_factor()
+            for p in last:
+                follow[p] |= f
+            nullable, first, last = nullable and n, first | f if nullable else first, last | l if n else l
+        return nullable, first, last
 
-    def parse_factor() -> Dfa:
-        atom = parse_atom()
+    def parse_factor() -> Node:
+        nullable, first, last = parse_atom()
         while peek() in ("*", "+", "?"):
             op = take()
-            if op == "*":
-                atom = as_dfa(star(atom))
-            elif op == "+":
-                atom = as_dfa(concatenate(atom, star(atom)))
-            else:
-                atom = union(atom, literal_dfa((), alphabet))
-        return atom
+            if op != "?":
+                for p in last:
+                    follow[p] |= first
+            nullable = nullable or op != "+"
+        return nullable, first, last
 
-    def parse_atom() -> Dfa:
+    def parse_atom() -> Node:
         c = peek()
         if c is None:
             raise ValueError(f"regex {pattern!r}: unexpected end of pattern")
@@ -509,18 +511,19 @@ def regex_dfa(pattern: str, alphabet: Alphabet) -> Dfa:
             return inner
         if c in ("*", "+", "?", ")"):
             raise ValueError(f"regex {pattern!r}: unexpected {c!r} at position {pos}")
-        take()
-        if c == ".":
-            out = None
-            for s in alphabet:
-                d = literal_dfa((s,), alphabet)
-                out = d if out is None else union(out, d)
-            return out
-        if c not in alphabet:
+        if c != "." and c not in alphabet:
             raise ValueError(f"regex {pattern!r}: {c!r} is not an alphabet symbol")
-        return literal_dfa((c,), alphabet)
+        p = frozenset({pos})
+        take()
+        return False, p, p
 
-    out = parse_expr()
+    def step(S: frozenset[int], s: Symbol) -> frozenset[int]:
+        return frozenset(q for p in S for q in follow[p] if pattern[q] in (s, "."))
+
+    nullable, first, last = parse_expr()
     if pos != len(pattern):
         raise ValueError(f"regex {pattern!r}: unexpected {pattern[pos]!r} at position {pos}")
-    return relabel_bfs(out, prefix="r", start=0)
+    follow[-1] |= first
+    order, delta = explore(alphabet, frozenset({-1}), step)
+    accepting = frozenset(S for S in order if S & last or (nullable and -1 in S))
+    return relabel_bfs(Dfa(alphabet, order, delta, order[0], accepting), prefix="r", start=0)

@@ -264,13 +264,32 @@ class TestEquivalence:
 class TestRegex:
     @pytest.mark.parametrize(
         "pattern",
-        ["0*", "(0|1)*1", "01|10", "1+0?", "((0|1)(0|1))*", ".*11.*", "", "0.1"],
+        ["0*", "(0|1)*1", "01|10", "1+0?", "((0|1)(0|1))*", ".*11.*", "", "0.1",
+         "()", "|", "0|", "(0|)*1?", "(0*)*", "((01)?)+"],
     )
     def test_regex_matches_python_re(self, pattern):
         d = regex_dfa(pattern, BINARY)
         py = _re.compile(pattern.replace(".", "[01]") or "")
         for w in words_upto(BINARY, 6):
             assert d.accepts(w) == bool(py.fullmatch("".join(w))), (pattern, w)
+
+    def test_regex_wildcard_over_three_symbols_matches_python_re(self):
+        d = regex_dfa(".+", ABC)
+        for w in words_upto(ABC, 6):
+            assert d.accepts(w) == bool(_re.fullmatch("[abc]+", "".join(w))), w
+
+    @pytest.mark.parametrize(("stacked", "grouped"), [("0?*", "(0?)*"), ("0**", "(0*)*")])
+    def test_regex_stacked_quantifiers(self, stacked, grouped):
+        assert equivalent(regex_dfa(stacked, BINARY), regex_dfa(grouped, BINARY))
+
+    def test_regex_size_of_a_repeated_alternation(self):
+        assert len(regex_dfa(".*(10|01)+.*", BINARY).states) <= 16
+
+    def test_regex_size_of_a_long_chain(self):
+        # one position per atom: a chain of n symbols needs n + 1 live states and a sink
+        d = regex_dfa("0" * 200, BINARY)
+        assert len(d.states) == 202
+        assert d.accepts("0" * 200) and not d.accepts("0" * 199)
 
     def test_regex_rejects_foreign_characters(self):
         with pytest.raises(ValueError):

@@ -669,3 +669,18 @@ def test_theorem1_calls_are_byte_identical(tmp_path_factory, capsys):
         code = main(resolved(root, case["argv"]))
         captured = capsys.readouterr()
         assert (captured.out, captured.err, code) == (case["stdout"], case["stderr"], case["code"]), case["argv"]
+
+
+# rr --regex calls on malformed patterns, recorded while regex_dfa still built
+# one deterministic automaton per operator.  The parser's messages and the
+# order in which it reports them (stdout, stderr and exit code) must not change.
+REGEX_ERRORS_FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "cli_regex_errors.json").read_text("utf-8"))
+
+
+def test_regex_errors_are_byte_identical(tmp_path_factory, capsys):
+    root = written(tmp_path_factory, REGEX_ERRORS_FIXTURE)
+    assert {case["code"] for case in REGEX_ERRORS_FIXTURE["cases"]} == {3}
+    for case in REGEX_ERRORS_FIXTURE["cases"]:
+        code = main(resolved(root, case["argv"]))
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err, code) == (case["stdout"], case["stderr"], case["code"]), case["argv"]

@@ -12,6 +12,10 @@ shortlex search are checked against test-only copies of the loops they
 replaced, on seeded ``helpers.random_nfa`` draws and on parsed
 ``inputs.random_effective`` automata.
 
+``regex_dfa`` builds one position automaton; it is checked against a
+test-only copy of the compiler it replaced, which determinized or took a
+product at every operator, on seeded ``inputs.random_regex`` patterns.
+
 The deciders run with their fuel omitted, so each derives its own budget
 from the automaton it steps; the reference runs until its verdict, and the
 two must agree on the answer and its evidence position.  The definitive-word
@@ -45,6 +49,7 @@ from realizability import (  # noqa: E402
     Refutation,
     buchi_accepts_ultper,
     champernowne,
+    concatenate,
     dead_lock_states,
     decide_buchi,
     decide_buchi_infinite,
@@ -54,20 +59,25 @@ from realizability import (  # noqa: E402
     decide_prefix_morphism,
     definitive_index_sequence,
     definitive_witness,
+    equivalent,
     find_definitive_word,
     is_definitive,
     limit_set_ultper,
+    literal_dfa,
     muller_accepts_ultper,
     parse_effective,
     reachable_closure,
     reachable_states,
+    regex_dfa,
     relabel_bfs,
     rr_pipeline,
+    star,
+    union,
     universal_indexed_word,
     zero_one_blocks,
     zero_one_runs,
 )
-from realizability.automata import nfa_of  # noqa: E402
+from realizability.automata import as_dfa, nfa_of  # noqa: E402
 from test_effective import eager_index_sequence  # noqa: E402
 
 ALPHABETS = pytest.mark.parametrize("alphabet", [BINARY, ABC], ids=["01", "abc"])
@@ -322,3 +332,73 @@ def test_rr_pipeline_on_the_benchmark_filters(f):
     for t in inputs.all_tables("01", 1) + inputs.all_tables("01", 2):
         assert agree(rr_pipeline(as_dfa_of(t), lang), reference.rr_verdict(t, table, enum, universal), seen), t
     assert {("Yes", True), ("No", False)} <= seen
+
+
+def per_operator_regex_dfa(pattern: str, alphabet) -> Dfa:
+    """The earlier compiler: one deterministic automaton per operator, by
+    subset construction or product, never minimized."""
+    pos = 0
+
+    def peek():
+        return pattern[pos] if pos < len(pattern) else None
+
+    def take():
+        nonlocal pos
+        pos += 1
+        return pattern[pos - 1]
+
+    def parse_expr():
+        out = parse_term()
+        while peek() == "|":
+            take()
+            out = union(out, parse_term())
+        return out
+
+    def parse_term():
+        out = literal_dfa((), alphabet)
+        while peek() not in (None, "|", ")"):
+            out = as_dfa(concatenate(out, parse_factor()))
+        return out
+
+    def parse_factor():
+        atom = parse_atom()
+        while peek() in ("*", "+", "?"):
+            op = take()
+            if op == "*":
+                atom = as_dfa(star(atom))
+            elif op == "+":
+                atom = as_dfa(concatenate(atom, star(atom)))
+            else:
+                atom = union(atom, literal_dfa((), alphabet))
+        return atom
+
+    def parse_atom():
+        c = take()
+        if c == "(":
+            inner = parse_expr()
+            assert take() == ")"
+            return inner
+        if c == ".":
+            out = literal_dfa(alphabet.symbols[:1], alphabet)
+            for s in alphabet.symbols[1:]:
+                out = union(out, literal_dfa((s,), alphabet))
+            return out
+        return literal_dfa((c,), alphabet)
+
+    out = parse_expr()
+    assert pos == len(pattern)
+    return relabel_bfs(out, prefix="r", start=0)
+
+
+@ALPHABETS
+def test_regex_position_automaton_against_per_operator_chain(alphabet):
+    rng = random.Random(907)
+    symbols = "".join(alphabet.symbols)
+    smaller = 0
+    for _ in range(500):
+        pattern = inputs.random_regex(rng, symbols)
+        new, old = regex_dfa(pattern, alphabet), per_operator_regex_dfa(pattern, alphabet)
+        assert equivalent(new, old), pattern
+        assert len(new.states) <= len(old.states), pattern
+        smaller += len(new.states) < len(old.states)
+    assert smaller > 0
