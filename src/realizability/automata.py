@@ -450,16 +450,22 @@ def words_upto(alphabet: Alphabet, max_len: int) -> Iterator[Word]:
             yield tup
 
 
+# Deepest parenthesis nesting regex_dfa parses: each level recurses four
+# frames, so this stays well under the interpreter's recursion limit.
+REGEX_NESTING_LIMIT = 100
+
+
 def regex_dfa(pattern: str, alphabet: Alphabet) -> Dfa:
     """Compile a small regular expression to an automaton over the alphabet.
 
     Supported syntax: single-character literals (which must be alphabet
     symbols), ``.`` for any symbol, concatenation, ``|``, ``*``, ``+``,
-    ``?``, and parentheses.  No escapes or character classes.  Parsing builds
-    the position (Glushkov) automaton; one subset exploration determinizes it.
+    ``?``, and parentheses nested at most ``REGEX_NESTING_LIMIT`` deep.  No
+    escapes or character classes.  Parsing builds the position (Glushkov)
+    automaton; one subset exploration determinizes it.
     """
     Node = tuple[bool, frozenset[int], frozenset[int]]  # nullable, first and last positions
-    pos = 0
+    pos = depth = 0
     follow: defaultdict[int, set[int]] = defaultdict(set)  # position i reads pattern[i]; -1 is the start
 
     def peek() -> str | None:
@@ -499,15 +505,22 @@ def regex_dfa(pattern: str, alphabet: Alphabet) -> Dfa:
         return nullable, first, last
 
     def parse_atom() -> Node:
+        nonlocal depth
         c = peek()
         if c is None:
             raise ValueError(f"regex {pattern!r}: unexpected end of pattern")
         if c == "(":
+            if depth == REGEX_NESTING_LIMIT:
+                raise ValueError(
+                    f"regex {pattern!r}: parentheses nested deeper than {REGEX_NESTING_LIMIT} at position {pos}"
+                )
+            depth += 1
             take()
             inner = parse_expr()
             if peek() != ")":
                 raise ValueError(f"regex {pattern!r}: unmatched '('")
             take()
+            depth -= 1
             return inner
         if c in ("*", "+", "?", ")"):
             raise ValueError(f"regex {pattern!r}: unexpected {c!r} at position {pos}")

@@ -468,16 +468,27 @@ def split_blocks(w: Word) -> list[int]:
     return [len(zeros) for zeros in re.findall(r"1(0+)1", text)]
 
 
-def _block_rows(table: list[tuple[int, int]], top: int) -> list[list[int]]:
-    """``rows[q][m]``: the state the table reaches from q on ``Block(m).word``, m <= top."""
-    rows: list[list[int]] = []
-    for _, on1 in table:
-        p, row = on1, []
-        for _ in range(top + 1):  # p is now past 1 0^m
-            row.append(table[p][1])
-            p = table[p][0]
-        rows.append(row)
-    return rows
+class _BlockRows:
+    """``rows[q][m]``: the state a table reaches from q on ``Block(m).word``.
+
+    ``upto(top)`` extends each row from where its walk stopped, so stages that
+    share a table never rebuild the rows.
+    """
+
+    def __init__(self, table: list[tuple[int, int]]):
+        self.table = table
+        self.rows: list[list[int]] = [[] for _ in table]
+        self._past = [on1 for _, on1 in table]  # the state past 1 0^m, m = len(row)
+
+    def upto(self, top: int) -> list[list[int]]:
+        table, past = self.table, self._past
+        for q, row in enumerate(self.rows):
+            p = past[q]
+            for _ in range(len(row), top + 1):
+                row.append(table[p][1])
+                p = table[p][0]
+            past[q] = p
+        return self.rows
 
 
 def _patch_word(table: list[tuple[int, int]], accepting: frozenset[int], q: int, blocks: Dfa) -> Word:
@@ -532,7 +543,8 @@ class Theorem1Word(InfiniteWord):
 
     The source yields one chunk per stage.  The word so far is kept as its
     block ranks too: stage n replays about n^2/2 blocks, not n^3/6 symbols,
-    and only those since stage n - 1 when both stages share a transition table.
+    and only those since stage n - 1, on block rows it extends rather than
+    rebuilds, when both stages share a transition table.
     """
 
     def __init__(self, machines: MachineList):
@@ -546,7 +558,7 @@ class Theorem1Word(InfiniteWord):
         alive: tuple[int, ...] = ()
         forbidden: frozenset[int] = frozenset()
         blocks = block_word_dfa(forbidden)
-        replayed_table, q, replayed = None, 0, 0
+        block_rows, q, replayed = None, 0, 0
         for n in count(1):
             # halting is monotone: only machines alive at n - 1, and n itself, can be alive at n
             running = (*alive, n)
@@ -555,10 +567,10 @@ class Theorem1Word(InfiniteWord):
                 forbidden = frozenset(range(1, n + 1)).difference(alive)
                 blocks = block_word_dfa(forbidden)
             table, accepting = _decode_table(n)
-            rows = _block_rows(table, max(n, top))
             ranks.extend(alive)
-            if table != replayed_table:  # the run depends on the table, not on the accepting states
-                replayed_table, q, replayed = table, 0, 0
+            if block_rows is None or table != block_rows.table:  # the run depends on the table only
+                block_rows, q, replayed = _BlockRows(table), 0, 0
+            rows = block_rows.upto(max(n, top))
             for m in ranks[replayed:]:
                 q = rows[q][m]
             replayed = len(ranks)
@@ -599,17 +611,28 @@ def decide_prefix_theorem1(
 ) -> Verdict:
     """Fuel-free prefix realizability along the diagonal word.
 
-    The word's stage for the automaton's own canonical index settles the
-    question: every later symbol extends the prefix by blocks the stage's
-    patch already accounted for, so if the run has not passed an accepting
-    state by the end of that stage it never will.  ``on_step`` is called as
-    in ``decide_prefix``.
+    The word's stage for the automaton's own canonical index is the latest
+    point of resolution: every later symbol extends the prefix by blocks the
+    stage's patch already accounted for, so if the run has not passed an
+    accepting state by the end of that stage it never will.  The run reads
+    the word stage by stage and builds no stage past the one it resolves in,
+    so a word passed in may hold fewer stages than the index after the call.
+    ``on_step`` is called as in ``decide_prefix``.
     """
     if a.alphabet != BINARY:
         raise AlphabetMismatchError("the diagonal word is over the binary alphabet 0/1")
     w = word if word is not None else theorem1_word(machines)
     index = encode_dfa(a)
-    stage = w.ensure_stage(index)
-    symbols = islice(w.iter_from(1), stage.end)
+
+    def stages() -> Iterator[Iterator[str]]:
+        start = 0
+        for k in range(1, index + 1):
+            end = w.ensure_stage(k).end
+            yield islice(w.iter_from(start + 1), end - start)
+            start = end
+
+    symbols = chain.from_iterable(stages())
     outcome = _resolve(a.delta, a.initial, symbols, a.accepting, dead_lock_states(a), on_step)
-    return Verdict(NO, stage.end, stage.end) if isinstance(outcome, FuelExhausted) else outcome
+    if isinstance(outcome, FuelExhausted):  # the run read the word through the index's stage
+        return Verdict(NO, outcome.steps_used, outcome.steps_used)
+    return outcome

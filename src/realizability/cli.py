@@ -74,7 +74,9 @@ from .words import (
 )
 
 
-# The diagonal word's prefix through stage n holds about n^3/6 symbols, all
+# The fuel-free decider builds the diagonal word only until its run resolves;
+# this limit bounds the worst case, a run unresolved through the automaton's
+# own stage n.  The prefix through stage n holds about n^3/6 symbols, all
 # buffered in memory once (a stage record keeps only block ranks), at about
 # 8 bytes a symbol: stage 66 holds 54,382, while a three-state counter
 # (stage 1,127) would need about 2.4e8, nearly 2 GB of buffer.

@@ -35,7 +35,7 @@ from realizability import (
     with_initial,
     words_upto,
 )
-from realizability.automata import meets, nfa_of
+from realizability.automata import REGEX_NESTING_LIMIT, meets, nfa_of
 
 
 def brute_language(a, max_len: int) -> set:
@@ -290,6 +290,18 @@ class TestRegex:
         d = regex_dfa("0" * 200, BINARY)
         assert len(d.states) == 202
         assert d.accepts("0" * 200) and not d.accepts("0" * 199)
+
+    def test_regex_nested_to_the_limit_matches_python_re(self):
+        pattern = "(" * REGEX_NESTING_LIMIT + "0|1)*1" + ")" * (REGEX_NESTING_LIMIT - 1)
+        d = regex_dfa(pattern, BINARY)
+        for w in words_upto(BINARY, 6):
+            assert d.accepts(w) == bool(_re.fullmatch(pattern, "".join(w))), w
+
+    def test_regex_rejects_nesting_past_the_limit(self):
+        deeper = "(" * (REGEX_NESTING_LIMIT + 1) + "0" + ")" * (REGEX_NESTING_LIMIT + 1)
+        message = f"nested deeper than {REGEX_NESTING_LIMIT} at position {REGEX_NESTING_LIMIT}"
+        with pytest.raises(ValueError, match=message):
+            regex_dfa(deeper, BINARY)
 
     def test_regex_rejects_foreign_characters(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ machine simulation, and the staged diagonal word with its tailored decider.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -49,7 +50,7 @@ from realizability import (
     with_initial,
     words_upto,
 )
-from realizability.bridge import Stage, _block_rows, _decode_table, _patch_word
+from realizability.bridge import Stage, _BlockRows, _decode_table, _patch_word
 
 
 def table_of(a: Dfa) -> tuple[list[tuple[int, int]], frozenset[int]]:
@@ -550,6 +551,20 @@ class TestBlockReplay:
         assert [(stage.machine_word, stage.patch_word) for stage in stages] == words
         assert w.prefix(len(prefix)) == prefix
 
+    # digests of the word through stage 150, recorded while every stage still rebuilt its block rows
+    @pytest.mark.parametrize(
+        ("text", "end", "digest"),
+        [
+            (MACHINES_TEXT, 596042, "1edaf5e02d0261461f7576578673a460c0e6bacdc8627867e483229b194f7f0d"),
+            (HALTING_TEXT, 594716, "2d16cbd4acda700fd184cc24394f1161f8a8950a42b54f19493e2aefe53d30f8"),
+        ],
+        ids=["gate", "halting"],
+    )
+    def test_word_through_stage_150_is_pinned(self, text, end, digest):
+        w = theorem1_word(parse_machines(text))
+        assert w.ensure_stage(150).end == end
+        assert hashlib.sha256("".join(w.prefix(end)).encode()).hexdigest() == digest
+
     def test_halting_list_forbids_ranks(self):
         w = theorem1_word(parse_machines(HALTING_TEXT))
         assert w.stage(1).end == w.stage(2).end == 0
@@ -561,7 +576,9 @@ class TestBlockReplay:
         rng = random.Random(801)
         for _ in range(200):
             a = random_dfa(rng, max_states=5)
-            rows = _block_rows(table_of(a)[0], 15)
+            block_rows = _BlockRows(table_of(a)[0])
+            block_rows.upto(rng.randrange(-1, 16))  # a later, larger top extends the rows
+            rows = block_rows.upto(15)
             for j, q in enumerate(a.states):
                 assert [a.states[p] for p in rows[j]] == [a.run(Block(m).word, q) for m in range(16)]
 
@@ -622,6 +639,13 @@ class TestDecideTheorem1:
             else:
                 assert hit is None
                 assert verdict.evidence <= stage_end
+
+    def test_builds_no_stage_past_its_resolution(self, a_contains1, machine_list):
+        # "contains a 1" is canonical automaton 33 and accepts at symbol 1, in stage 1
+        w = theorem1_word(machine_list)
+        assert encode_dfa(a_contains1) == 33
+        assert decide_prefix_theorem1(a_contains1, machine_list, word=w) == Verdict("Yes", 1, 1)
+        assert len(w._stages) == 1
 
     def test_generic_decider_agrees(self, a_contains1, machine_list):
         w = theorem1_word(machine_list)

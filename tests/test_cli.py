@@ -505,6 +505,14 @@ class TestErrors:
         assert code == 3
         assert "error:" in captured.err
 
+    def test_deeply_nested_regex(self, files, capsys):
+        pattern = "(" * 300 + "0" + ")" * 300
+        code = main(["rr", "--filter", files["zeros.aut"], "--regex", pattern])
+        captured = capsys.readouterr()
+        assert_one_error_line(code, captured)
+        message = f"regex {pattern!r}: parentheses nested deeper than 100 at position 100"
+        assert captured.err == f"error: {message}\n"
+
     def test_ultper_without_loop(self, files, capsys):
         code = main(
             ["decide-prefix", "--automaton", files["contains1.aut"], "--gen", "ultper"]

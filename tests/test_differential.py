@@ -16,6 +16,10 @@ replaced, on seeded ``helpers.random_nfa`` draws and on parsed
 test-only copy of the compiler it replaced, which determinized or took a
 product at every operator, on seeded ``inputs.random_regex`` patterns.
 
+The fuel-free diagonal decider reads the word stage by stage; it is checked
+against a test-only copy of the body that built the word through the
+automaton's own stage first, on verdicts and on every ``on_step`` call.
+
 The deciders run with their fuel omitted, so each derives its own budget
 from the automaton it steps; the reference runs until its verdict, and the
 two must agree on the answer and its evidence position.  The definitive-word
@@ -27,6 +31,7 @@ from __future__ import annotations
 import random
 import sys
 from collections import deque
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -77,7 +82,11 @@ from realizability import (  # noqa: E402
     zero_one_blocks,
     zero_one_runs,
 )
+from realizability import bridge  # noqa: E402
 from realizability.automata import as_dfa, nfa_of  # noqa: E402
+from realizability.decide import FuelExhausted, Verdict, _resolve  # noqa: E402
+from conftest import MACHINES_TEXT  # noqa: E402
+from test_bridge import HALTING_TEXT  # noqa: E402
 from test_effective import eager_index_sequence  # noqa: E402
 
 ALPHABETS = pytest.mark.parametrize("alphabet", [BINARY, ABC], ids=["01", "abc"])
@@ -402,3 +411,47 @@ def test_regex_position_automaton_against_per_operator_chain(alphabet):
         assert len(new.states) <= len(old.states), pattern
         smaller += len(new.states) < len(old.states)
     assert smaller > 0
+
+
+def eager_decide_prefix_theorem1(a: Dfa, machines, word=None, on_step=None):
+    """The earlier fuel-free diagonal decider: build the word through the
+    automaton's own stage, then run it along that prefix."""
+    w = word if word is not None else bridge.theorem1_word(machines)
+    stage = w.ensure_stage(bridge.encode_dfa(a))
+    symbols = islice(w.iter_from(1), stage.end)
+    outcome = _resolve(a.delta, a.initial, symbols, a.accepting, dead_lock_states(a), on_step)
+    return Verdict("No", stage.end, stage.end) if isinstance(outcome, FuelExhausted) else outcome
+
+
+def traced(decider, a: Dfa, machines, word=None):
+    steps: list = []
+    return decider(a, machines, word, lambda n, q: steps.append((n, q))), steps
+
+
+MACHINE_TEXTS = pytest.mark.parametrize("text", [MACHINES_TEXT, HALTING_TEXT], ids=["gate", "halting"])
+
+
+@MACHINE_TEXTS
+def test_theorem1_decider_against_the_eager_body(text):
+    machines = bridge.parse_machines(text)
+    built = bridge.theorem1_word(machines)  # holds every stage the eager runs asked for
+    indices = [*range(1, 67), *sorted(random.Random(1701).sample(range(67, 201), 12))]
+    for i in indices:
+        a = bridge.decode_dfa(i)
+        expected = traced(eager_decide_prefix_theorem1, a, machines, built)
+        assert traced(bridge.decide_prefix_theorem1, a, machines) == expected, i
+        assert traced(bridge.decide_prefix_theorem1, a, machines, built) == expected, i
+
+
+@MACHINE_TEXTS
+def test_theorem1_decider_unresolved_through_its_stage(text, monkeypatch):
+    # from q1, 0 accepts and 1 0^m 1 returns to q1, so no block word resolves
+    # the run; its own stage (4,887) is far too long to build in a test, so
+    # both deciders are told a small index and must answer No at its end
+    a = bridge.decode_dfa(4887)
+    machines = bridge.parse_machines(text)
+    monkeypatch.setattr(bridge, "encode_dfa", lambda _: 12)
+    end = bridge.theorem1_word(machines).ensure_stage(12).end
+    verdict, steps = traced(bridge.decide_prefix_theorem1, a, machines)
+    assert (verdict, len(steps)) == (Verdict("No", end, end), end + 1)
+    assert (verdict, steps) == traced(eager_decide_prefix_theorem1, a, machines)
