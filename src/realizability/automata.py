@@ -30,7 +30,7 @@ def as_word(w: str | Iterable[Symbol]) -> Word:
 
 def render_word(w: Word) -> str:
     """Human-readable form: plain join for single-char symbols, else space-separated."""
-    if all(len(s) == 1 for s in w):
+    if all(len(s) == 1 for s in set(w)):
         return "".join(w)
     return " ".join(w)
 

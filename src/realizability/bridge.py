@@ -632,7 +632,7 @@ def decide_prefix_theorem1(
             start = end
 
     symbols = chain.from_iterable(stages())
-    outcome = _resolve(a.delta, a.initial, symbols, a.accepting, dead_lock_states(a), on_step)
+    outcome = _resolve(a.step, a.initial, symbols, a.accepting, dead_lock_states(a), on_step)
     if isinstance(outcome, FuelExhausted):  # the run read the word through the index's stage
         return Verdict(NO, outcome.steps_used, outcome.steps_used)
     return outcome

@@ -229,7 +229,7 @@ def _cmd_word(args: argparse.Namespace) -> int:
     w = _build_generator(args)
     prefix = w.prefix(args.upto)
     if isinstance(w, IndexedInfiniteWord):
-        print(" ".join(str(i) for i in prefix))
+        print(" ".join(map(str, prefix)))
     else:
         print(render_word(prefix))
     return 0

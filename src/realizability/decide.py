@@ -4,8 +4,11 @@ Every decider in the package runs one resolution kernel, ``_resolve``: an
 automaton is stepped along a finite stretch of the word until it passes an
 accepting state (Yes), enters a dead-lock state (No), or the stretch ends
 (FuelExhausted).  ``decide_prefix`` feeds it a deterministic automaton's
-table and the first ``fuel`` symbols; the effective and diagonal-word
-deciders feed it their own tables and stretches.  Against a
+successor function and the first ``fuel`` symbols; the effective and
+diagonal-word deciders feed it their own.  The kernel walks rows: one dict
+per state visited, keyed by symbol, holding the successor's row and built
+on first use, so each step is one dict lookup.  The accepted-prefix count
+and the brute-force scan step the same rows.  Against a
 factor-universal word both resolutions arrive no later than the occurrence
 bound of a definitive word of the automaton that is stepped; with
 ``fuel=None`` every decider runs to that bound, so it is total.
@@ -23,7 +26,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator
 
 from .automata import AlphabetMismatchError, Dfa, State, dead_lock_states
 from .definitive import find_definitive_word
@@ -86,8 +89,38 @@ def _occurrence_fuel(w: InfiniteWord | IndexedInfiniteWord, word: tuple) -> Fuel
     return Fuel(max(1, w.occurrence_bound(word)))
 
 
+class _Rows(dict):
+    """One run's rows by state.  ``row(q)`` builds the row of a state on its
+    first visit; its ``code`` is 1 if accepting, else 2 if a dead-lock, else 0."""
+
+    __slots__ = ("successor", "accepting", "dead")
+
+    def __init__(self, successor: Callable[[State, object], State], accepting: frozenset, dead: frozenset):
+        self.successor, self.accepting, self.dead = successor, accepting, dead
+
+    def row(self, q: State) -> "_Row":
+        row = self[q] = _Row()
+        row.state, row.rows = q, self
+        row.code = 1 if q in self.accepting else 2 if q in self.dead else 0
+        return row
+
+
+class _Row(dict):
+    """``row[s]`` is the row of the state reached from ``row.state`` on ``s``;
+    a symbol first read asks the successor function once, so a run pays for
+    the transitions it takes, not for a table."""
+
+    __slots__ = ("state", "code", "rows")
+
+    def __missing__(self, s: object) -> "_Row":
+        rows = self.rows
+        q = rows.successor(self.state, s)
+        row = self[s] = rows[q] if q in rows else rows.row(q)
+        return row
+
+
 def _resolve(
-    table: Mapping[tuple[State, object], State],
+    successor: Callable[[State, object], State],
     q: State,
     symbols: Iterable,
     accepting: frozenset[State],
@@ -96,27 +129,26 @@ def _resolve(
 ) -> Outcome:
     """Run from ``q`` along ``symbols`` until accept, dead-lock, or their end.
 
-    ``table[state, symbol]`` is the successor state.  ``on_step(position,
-    state)`` is called for position 0 (the start state) and after every
-    symbol read, before the verdict checks.  Running out of symbols is
-    reported as ``FuelExhausted`` with the number read.
+    ``successor(state, symbol)`` is the next state; each transition taken
+    is asked for once.  ``on_step(position, state)`` is called for position
+    0 (the start state) and after every symbol read, before the verdict
+    checks.  Running out of symbols is reported as ``FuelExhausted`` with
+    the number read.
     """
+    row = _Rows(successor, accepting, dead).row(q)
     if on_step is not None:
         on_step(0, q)
-    if q in accepting:
-        return Verdict(YES, 0, 0)
-    if q in dead:
-        return Verdict(NO, 0, 0)
     n = 0
-    for n, s in enumerate(symbols, start=1):
-        q = table[q, s]
-        if on_step is not None:
-            on_step(n, q)
-        if q in accepting:
-            return Verdict(YES, n, n)
-        if q in dead:
-            return Verdict(NO, n, n)
-    return FuelExhausted(n)
+    if not row.code:
+        for n, s in enumerate(symbols, start=1):
+            row = row[s]
+            if on_step is not None:
+                on_step(n, row.state)
+            if row.code:
+                break
+        else:
+            return FuelExhausted(n)
+    return Verdict(YES if row.code == 1 else NO, n, n)
 
 
 def _stretch(w: InfiniteWord | IndexedInfiniteWord, fuel: Fuel) -> Iterator:
@@ -146,7 +178,7 @@ def decide_prefix(
     """
     fuel = Fuel.of(fuel) if fuel is not None else _occurrence_fuel(w, find_definitive_word(a))
     _check_same_alphabet(a, w)
-    return _resolve(a.delta, a.initial, _stretch(w, fuel), a.accepting, dead_lock_states(a), on_step)
+    return _resolve(a.step, a.initial, _stretch(w, fuel), a.accepting, dead_lock_states(a), on_step)
 
 
 def deadlock_accepting_variant(a: Dfa) -> Dfa:
@@ -175,31 +207,24 @@ def decide_buchi(
 def brute_force_prefix_check(a: Dfa, w: InfiniteWord, upto: int) -> int | None:
     """Oracle: least n <= upto with W[1, n] accepted, by plain incremental scan."""
     _check_same_alphabet(a, w)
-    q = a.initial
-    if q in a.accepting:
+    row = _Rows(a.step, a.accepting, frozenset()).row(a.initial)
+    if row.code:
         return 0
-    delta = a.delta
-    accepting = a.accepting
-    n = 0
-    for s in w.iter_from(1):
-        if n >= upto:
-            return None
-        n += 1
-        q = delta[(q, s)]
-        if q in accepting:
+    symbols = w.iter_from(1)
+    for n, s in enumerate(islice(symbols, max(upto, 0)), start=1):
+        row = row[s]
+        if row.code:
             return n
+    next(symbols)  # the scan reads the symbol past its window before it gives up
     return None
 
 
 def count_accepted_prefixes(a: Dfa, w: InfiniteWord, upto: int) -> int:
     """How many n in [0, upto] have W[1, n] accepted."""
     _check_same_alphabet(a, w)
-    q = a.initial
-    total = 1 if q in a.accepting else 0
-    delta = a.delta
-    accepting = a.accepting
+    row = _Rows(a.step, a.accepting, frozenset()).row(a.initial)
+    total = row.code  # 1 exactly when accepting, since no state is marked dead
     for s in islice(w.iter_from(1), max(upto, 0)):
-        q = delta[(q, s)]
-        if q in accepting:
-            total += 1
+        row = row[s]
+        total += row.code
     return total

@@ -89,16 +89,6 @@ def effective_dead_locks(ea: EffectiveAutomaton) -> frozenset[State]:
     return frozenset(q for q in ea.states if q not in alive)
 
 
-class _DeltaTable:
-    """``ea.delta(index, state)`` read as the kernel's ``table[state, index]``."""
-
-    def __init__(self, delta: Callable[[int, State], State]):
-        self.delta = delta
-
-    def __getitem__(self, key: tuple[State, int]) -> State:
-        return self.delta(key[1], key[0])
-
-
 def decide_prefix_infinite(
     ea: EffectiveAutomaton,
     w: IndexedInfiniteWord,
@@ -114,7 +104,7 @@ def decide_prefix_infinite(
     explicit = Fuel.of(fuel) if fuel is not None else None  # a bad budget is reported first
     dead = effective_dead_locks(ea)
     fuel = explicit or _occurrence_fuel(w, _index_sequence(ea, dead))
-    return _resolve(_DeltaTable(ea.delta), ea.initial, _stretch(w, fuel), ea.accepting, dead, on_step)
+    return _resolve(lambda q, k: ea.delta(k, q), ea.initial, _stretch(w, fuel), ea.accepting, dead, on_step)
 
 
 def decide_buchi_infinite(

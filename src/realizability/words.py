@@ -3,13 +3,14 @@
 Positions are 1-based throughout: ``W[1, n]`` is the length-n prefix and the
 empty prefix is position 0.  Words are represented by a memoizing buffer fed
 from either a symbol stream or a direct index formula, so repeated decisions
-against the same word never recompute symbols.  Streams are chained from
-chunks (Champernowne yields one length block, a morphism image word one
-image, the diagonal word of ``bridge`` one stage).  Symbols move in slices: the
-buffer pulls a stretch from its source with one ``list.extend``, and
-``iter_from`` reads it back in slices of 64 symbols doubling to 1024,
-extending it only at its end, so a reader runs at most 1024 symbols ahead.
-Buffer extension is guarded by a lock; concurrent readers are safe.
+against the same word never recompute symbols.  Streams are chained from chunks
+(Champernowne yields one length block, the universal indexed word one round
+filtered by ``compress``, a morphism image word the images of one slice of
+indices, the diagonal word of ``bridge`` one stage).  Symbols move in slices:
+the buffer pulls a stretch from its source with one ``list.extend``, and
+``iter_from`` reads it back in slices of 64 symbols doubling to 1024, extending
+it only at its end, so a reader runs at most 1024 symbols ahead.  Buffer
+extension is guarded by a lock; concurrent readers are safe.
 
 ``factor-universal`` tags a word that provably contains every finite word
 over its alphabet as a factor, together with a computable occurrence bound.
@@ -19,7 +20,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from itertools import chain, count, islice, product
+from itertools import chain, compress, count, islice, product, repeat
+from operator import contains
 from typing import Callable, Iterable, Iterator
 
 from .automata import Alphabet, Automaton, Symbol, Word, _check_word, as_word, literal_dfa, meets, union
@@ -81,13 +83,13 @@ class _Buffered:
         return chain.from_iterable(self._slices(start - 1))
 
     def _slices(self, i: int) -> Iterator[list]:
-        """Buffer slices from offset ``i``: 64 symbols, doubling up to 1024."""
-        buf = self._buf
+        """Slices from offset ``i``: 64 symbols, doubling up to 1024."""
+        buf, index_fn = self._buf, self._index_fn
         size = 64
         while True:
             if i >= len(buf):
                 self._extend_to(i + size)
-            piece = buf[i : i + size]
+            piece = buf[i : i + size] if index_fn is None else list(map(index_fn, range(i + 1, i + size + 1)))
             yield piece
             i += len(piece)
             size = min(2 * size, 1024)
@@ -222,11 +224,12 @@ def ultimately_periodic(u: Word | str, v: Word | str, alphabet: Alphabet | None 
 
 
 def _universal_round_words(n: int) -> Iterator[tuple[int, ...]]:
-    """Words newly emitted in round n, in shortlex order of index sequences."""
-    for length in range(1, n + 1):
-        for tup in product(range(1, n + 1), repeat=length):
-            if length == n or max(tup) == n:
-                yield tup
+    """Words newly emitted in round n, in shortlex order of index sequences:
+    those that use index n below length n, then every sequence of length n."""
+    r = range(1, n + 1)
+    for k in range(1, n):
+        yield from compress(product(r, repeat=k), map(contains, product(r, repeat=k), repeat(n)))
+    yield from product(r, repeat=n)
 
 
 def universal_round_length(n: int) -> int:
@@ -287,26 +290,36 @@ def apply_morphism(
 
     Erasing images are fine as long as non-erasing ones keep coming; a run of
     ``stall_limit`` consecutive erasing images aborts with MorphismStallError
-    since the image would not be an infinite word within the budget.
+    since the image would not be an infinite word within the budget.  Indices
+    are mapped a slice at a time, their new images first; a stall, or an image
+    that raises, surfaces only when a reader reaches its position.
     """
 
-    def source() -> Iterator[Symbol]:
-        erased = 0
+    def pieces() -> Iterator[Iterator[Symbol]]:
         images: dict[int, Word] = {}  # indexed words repeat small indices
+        erased = 0
+        for piece in w._slices(0):
+            failure = None
+            try:
+                for idx in dict.fromkeys(piece):  # first-occurrence order
+                    if idx not in images:
+                        images[idx] = phi.image(idx)
+            except Exception as exc:  # raised below, once the images before it are read
+                failure, piece = exc, piece[: piece.index(idx)]
+            if erased + len(piece) > stall_limit:  # a stall may fall in this slice: count each image
+                for i, idx in enumerate(piece):
+                    erased = 0 if images[idx] else erased + 1
+                    if erased > stall_limit:
+                        stall = MorphismStallError(f"{stall_limit} consecutive erasing images; image word stalled")
+                        failure, piece = stall, piece[:i]
+                        break
+            else:
+                erased = next((i for i, idx in enumerate(reversed(piece)) if images[idx]), erased + len(piece))
+            yield chain.from_iterable(map(images.__getitem__, piece))
+            if failure is not None:
+                raise failure
 
-        def image(idx: int) -> Word:
-            nonlocal erased
-            img = images.get(idx)
-            if img is None:
-                img = images[idx] = phi.image(idx)
-            erased = 0 if img else erased + 1
-            if erased > stall_limit:
-                raise MorphismStallError(f"{stall_limit} consecutive erasing images; image word stalled")
-            return img
-
-        return chain.from_iterable(map(image, w.iter_from(1)))
-
-    return InfiniteWord(phi.alphabet, source=source)
+    return InfiniteWord(phi.alphabet, source=lambda: chain.from_iterable(pieces()))
 
 
 def factor_search(w: InfiniteWord, needle: Word | str, limit: int) -> int | None:

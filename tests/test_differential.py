@@ -20,6 +20,12 @@ The fuel-free diagonal decider reads the word stage by stage; it is checked
 against a test-only copy of the body that built the word through the
 automaton's own stage first, on verdicts and on every ``on_step`` call.
 
+The stepping kernel walks successor rows built on first use; it, the
+accepted-prefix count and the brute-force scan are checked against
+test-only copies of the loops that stepped a tuple-keyed transition table,
+and effective automata against a copy of the table view of their
+``delta``, on verdicts, ``FuelExhausted`` counts and every ``on_step`` call.
+
 The deciders run with their fuel omitted, so each derives its own budget
 from the automaton it steps; the reference runs until its verdict, and the
 two must agree on the answer and its evidence position.  The definitive-word
@@ -48,13 +54,16 @@ from realizability import (  # noqa: E402
     EffectiveAutomaton,
     EffectiveMorphism,
     FilterLanguage,
+    InfiniteWord,
     MullerAutomaton,
     Nfa,
     PassedAccepting,
     Refutation,
+    brute_force_prefix_check,
     buchi_accepts_ultper,
     champernowne,
     concatenate,
+    count_accepted_prefixes,
     dead_lock_states,
     decide_buchi,
     decide_buchi_infinite,
@@ -64,6 +73,8 @@ from realizability import (  # noqa: E402
     decide_prefix_morphism,
     definitive_index_sequence,
     definitive_witness,
+    derived_fuel,
+    effective_dead_locks,
     equivalent,
     find_definitive_word,
     is_definitive,
@@ -419,7 +430,7 @@ def eager_decide_prefix_theorem1(a: Dfa, machines, word=None, on_step=None):
     w = word if word is not None else bridge.theorem1_word(machines)
     stage = w.ensure_stage(bridge.encode_dfa(a))
     symbols = islice(w.iter_from(1), stage.end)
-    outcome = _resolve(a.delta, a.initial, symbols, a.accepting, dead_lock_states(a), on_step)
+    outcome = _resolve(a.step, a.initial, symbols, a.accepting, dead_lock_states(a), on_step)
     return Verdict("No", stage.end, stage.end) if isinstance(outcome, FuelExhausted) else outcome
 
 
@@ -455,3 +466,146 @@ def test_theorem1_decider_unresolved_through_its_stage(text, monkeypatch):
     verdict, steps = traced(bridge.decide_prefix_theorem1, a, machines)
     assert (verdict, len(steps)) == (Verdict("No", end, end), end + 1)
     assert (verdict, steps) == traced(eager_decide_prefix_theorem1, a, machines)
+
+
+def tuple_keyed_resolve(table, q, symbols, accepting, dead, on_step=None):
+    """The earlier kernel: ``table[state, symbol]`` looked up at every step."""
+    if on_step is not None:
+        on_step(0, q)
+    if q in accepting:
+        return Verdict("Yes", 0, 0)
+    if q in dead:
+        return Verdict("No", 0, 0)
+    n = 0
+    for n, s in enumerate(symbols, start=1):
+        q = table[q, s]
+        if on_step is not None:
+            on_step(n, q)
+        if q in accepting:
+            return Verdict("Yes", n, n)
+        if q in dead:
+            return Verdict("No", n, n)
+    return FuelExhausted(n)
+
+
+def tuple_keyed_brute_force(a: Dfa, w, upto: int):
+    q = a.initial
+    if q in a.accepting:
+        return 0
+    n = 0
+    for s in w.iter_from(1):
+        if n >= upto:
+            return None
+        n += 1
+        q = a.delta[q, s]
+        if q in a.accepting:
+            return n
+    return None
+
+
+def tuple_keyed_count(a: Dfa, w, upto: int) -> int:
+    q = a.initial
+    total = 1 if q in a.accepting else 0
+    for s in islice(w.iter_from(1), max(upto, 0)):
+        q = a.delta[q, s]
+        if q in a.accepting:
+            total += 1
+    return total
+
+
+class DeltaTable:
+    """The earlier table view of an effective automaton: ``ea.delta(index, state)`` at every step."""
+
+    def __init__(self, delta):
+        self.delta = delta
+
+    def __getitem__(self, key):
+        return self.delta(key[1], key[0])
+
+
+def traced_run(run) -> tuple:
+    """``run(on_step)``'s outcome and every ``on_step`` call it made."""
+    steps: list = []
+    return run(lambda n, q: steps.append((n, q))), steps
+
+
+def fuels_around(resolved_at: int, rng: random.Random) -> list[int]:
+    """Fuels that end before, at and after a resolution (or exhaustion) position."""
+    around = {max(1, resolved_at - 1), max(1, resolved_at), resolved_at + 1}
+    return sorted({1, rng.randint(1, 3 * resolved_at + 3)} | around)
+
+
+@ALPHABETS
+def test_kernel_against_the_tuple_keyed_loop(alphabet):
+    w = champernowne(alphabet)
+
+    def stretch(fuel):
+        return islice(w.iter_from(1), fuel)
+
+    seen: set = set()
+    for rng, a, _t in draws(911, alphabet):
+        # the deciders' own dead-locks, and an arbitrary set that may overlap the accepting one
+        dead_locks = dead_lock_states(a)
+        arbitrary = frozenset(rng.sample(a.states, rng.randint(0, len(a.states))))
+        for dead in (dead_locks, arbitrary):
+            reach = tuple_keyed_resolve(a.delta, a.initial, stretch(2_000), a.accepting, dead)
+            for fuel in fuels_around(reach.steps_used, rng):
+                old = traced_run(lambda f: tuple_keyed_resolve(a.delta, a.initial, stretch(fuel), a.accepting, dead, f))
+                new = traced_run(lambda f: _resolve(a.step, a.initial, stretch(fuel), a.accepting, dead, f))
+                assert new == old, (a, dead, fuel)
+                if dead is dead_locks:
+                    assert traced_run(lambda f: decide_prefix(a, w, fuel, f)) == old, (a, fuel)
+                seen.add((type(old[0]).__name__, getattr(old[0], "answer", None), old[0].steps_used > 0))
+    assert {("Verdict", "Yes", True), ("Verdict", "No", True), ("FuelExhausted", None, True)} <= seen
+    assert {("Verdict", "Yes", False), ("Verdict", "No", False)} <= seen
+
+
+@ALPHABETS
+def test_count_and_brute_force_against_the_tuple_keyed_loops(alphabet):
+    w = champernowne(alphabet)
+    found = 0
+    for rng, a, _t in draws(912, alphabet):
+        first = tuple_keyed_brute_force(a, w, 3_000)
+        found += first is not None and first > 0
+        uptos = {-1, 0, 1, rng.randint(2, 3_000)} | ({first - 1, first, first + 1} if first else set())
+        for upto in sorted(uptos):
+            assert brute_force_prefix_check(a, w, upto) == tuple_keyed_brute_force(a, w, upto), (a, upto)
+            assert count_accepted_prefixes(a, w, upto) == tuple_keyed_count(a, w, upto), (a, upto)
+    assert found > 0
+
+
+def test_brute_force_reads_past_its_window_like_the_tuple_keyed_loop():
+    # a word whose source ends after the first 64-symbol slice shows how far each scan reads
+    a = Dfa(BINARY, ("s0",), {("s0", "0"): "s0", ("s0", "1"): "s0"}, "s0", frozenset())
+    for scan in (brute_force_prefix_check, tuple_keyed_brute_force):
+        assert scan(a, InfiniteWord(BINARY, source=lambda: iter("01" * 32)), 63) is None
+        with pytest.raises(RuntimeError, match="word source ended"):
+            scan(a, InfiniteWord(BINARY, source=lambda: iter("01" * 32)), 64)
+
+
+def test_effective_kernel_against_the_delta_table():
+    w = universal_indexed_word()
+    seen: set = set()
+    for rng, ea in parsed_effective(913):
+        asked: list = []
+
+        def delta(k, q, ea=ea):
+            asked.append((k, q))
+            return ea.delta(k, q)
+
+        counted = EffectiveAutomaton(ea.states, delta, ea.exists_transition, ea.initial, ea.accepting)
+        dead = effective_dead_locks(ea)
+        reach = tuple_keyed_resolve(
+            DeltaTable(ea.delta), ea.initial, islice(w.iter_from(1), derived_fuel(ea, w).max_steps), ea.accepting, dead
+        )
+        for fuel in fuels_around(reach.steps_used, rng):
+            asked.clear()
+            old = traced_run(
+                lambda f: tuple_keyed_resolve(
+                    DeltaTable(ea.delta), ea.initial, islice(w.iter_from(1), fuel), ea.accepting, dead, f
+                )
+            )
+            assert traced_run(lambda f: decide_prefix_infinite(counted, w, fuel, f)) == old, (ea.states, fuel)
+            assert len(asked) == len(set(asked))  # each transition taken is asked for once
+            seen.add((type(old[0]).__name__, getattr(old[0], "answer", None)))
+    assert {("Verdict", "Yes"), ("Verdict", "No"), ("FuelExhausted", None)} <= seen

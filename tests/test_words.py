@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
-from itertools import chain, count, islice, product
+from itertools import chain, count, islice, product, repeat
 
 import pytest
 
@@ -15,6 +15,7 @@ from realizability import (
     FACTOR_UNIVERSAL,
     AlphabetMismatchError,
     EffectiveMorphism,
+    IndexedInfiniteWord,
     InfiniteWord,
     MorphismStallError,
     apply_morphism,
@@ -125,6 +126,47 @@ class TestUltimatelyPeriodic:
             ultimately_periodic(stem, loop, alphabet=BINARY)
 
 
+def filtered_round_words(n: int):
+    """The earlier round generator: every sequence up to length n, filtered one at a time."""
+    for length in range(1, n + 1):
+        for tup in product(range(1, n + 1), repeat=length):
+            if length == n or max(tup) == n:
+                yield tup
+
+
+def symbolwise_image(phi: EffectiveMorphism, w, stall_limit: int = 100_000) -> InfiniteWord:
+    """The earlier ``apply_morphism``: one image per index read, erasures counted as read."""
+
+    def source():
+        erased = 0
+        images: dict = {}
+
+        def image(idx):
+            nonlocal erased
+            img = images.get(idx)
+            if img is None:
+                img = images[idx] = phi.image(idx)
+            erased = 0 if img else erased + 1
+            if erased > stall_limit:
+                raise MorphismStallError(f"{stall_limit} consecutive erasing images; image word stalled")
+            return img
+
+        return chain.from_iterable(map(image, w.iter_from(1)))
+
+    return InfiniteWord(phi.alphabet, source=source)
+
+
+def readable(word: InfiniteWord, error: type, limit: int = 20_000) -> tuple[int, str] | None:
+    """How many symbols a reader gets, one at a time, before ``error``, and
+    its message; None if the first ``limit`` symbols read without it."""
+    for n in range(1, limit + 1):
+        try:
+            word.symbol_at(n)
+        except error as exc:
+            return n - 1, str(exc)
+    return None
+
+
 class TestUniversalIndexedWord:
     def test_round_one_and_two(self):
         w = universal_indexed_word()
@@ -138,6 +180,12 @@ class TestUniversalIndexedWord:
         for n in range(1, 6):
             generated = sum(len(t) for t in _universal_round_words(n))
             assert universal_round_length(n) == generated
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rounds_match_the_filtering_generator(self, n):
+        rounds = list(_universal_round_words(n))
+        assert rounds == list(filtered_round_words(n))
+        assert sum(map(len, rounds)) == universal_round_length(n)
 
     def test_round_ends(self):
         assert universal_round_end(1) == 1
@@ -223,6 +271,55 @@ class TestApplyMorphism:
         image = apply_morphism(zero_one_runs(), indexed_periodic((1,)), stall_limit=50)
         with pytest.raises(MorphismStallError):
             image.prefix(1)
+
+    # an erasing run one short of the limit, one image, then a run that
+    # stalls; start 2000 with limit 600 puts the stalling run across the
+    # slice boundary at index position 3008 (slices of 64 doubling to 1024)
+    @pytest.mark.parametrize(
+        "limit,start", [(0, 0), (0, 63), (1, 0), (1, 62), (5, 100), (5, 1980), (600, 0), (600, 2000)]
+    )
+    def test_stall_position_matches_the_symbolwise_source(self, limit, start):
+        phi = EffectiveMorphism(BINARY, lambda k: ("0",) if k == 1 else ())
+
+        def indices():
+            return IndexedInfiniteWord(
+                source=lambda: chain(repeat(1, start), repeat(2, limit), [1], repeat(2, limit + 1), repeat(1))
+            )
+
+        expected = readable(symbolwise_image(phi, indices(), limit), MorphismStallError)
+        assert expected[0] == start + 1
+        assert readable(apply_morphism(phi, indices(), limit), MorphismStallError) == expected
+        sliced = apply_morphism(phi, indices(), limit)
+        assert sliced.prefix(start + 1) == ("0",) * (start + 1)
+        with pytest.raises(MorphismStallError):
+            sliced.prefix(start + 2)
+
+    @pytest.mark.parametrize("bad", [3, 5])
+    def test_an_image_that_raises_surfaces_at_its_position(self, bad):
+        # index 3 first occurs inside the first slice, index 5 at position
+        # 1253, inside the slice of index positions 961-1984
+        def image(k):
+            if k == bad:
+                raise ValueError(f"no image for {k}")
+            return ("0", "1")[: k % 3]
+
+        phi = EffectiveMorphism(BINARY, image)
+        indices = universal_indexed_word().prefix(universal_round_end(bad - 1))
+        before = tuple(s for k in indices for s in image(k))
+        n, message = readable(apply_morphism(phi, universal_indexed_word()), ValueError)
+        assert (n, message) == readable(symbolwise_image(phi, universal_indexed_word()), ValueError)
+        assert (n, message) == (len(before), f"no image for {bad}")
+        sliced = apply_morphism(phi, universal_indexed_word())
+        assert sliced.prefix(len(before)) == before
+        with pytest.raises(ValueError):
+            sliced.prefix(len(before) + 1)
+
+    def test_image_of_a_formula_word(self):
+        # indexed_periodic computes its indices, it keeps no buffer to slice
+        phi = EffectiveMorphism.index_periodic(["01", "", "1"], BINARY)
+        image = apply_morphism(phi, indexed_periodic((1, 2, 3, 2)))
+        assert "".join(image.prefix(3000)) == "011" * 1000
+        assert "".join(islice(image.iter_from(2), 5)) == "11011"
 
     def test_stall_counts_every_read_of_a_repeated_erasing_index(self):
         # odd indices map to "01", even ones erase: three "01" images, then
