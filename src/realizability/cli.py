@@ -56,7 +56,6 @@ from .definitive import definitive_language, find_definitive_word
 from .effective import (
     decide_buchi_infinite,
     decide_prefix_infinite,
-    derived_fuel,
     parse_effective,
     zero_one_blocks,
     zero_one_runs,
@@ -206,9 +205,8 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 def _cmd_decide_infinite(args: argparse.Namespace) -> int:
     ea = parse_effective(_read(args.effective))
     w = universal_indexed_word()
-    fuel = args.fuel if args.fuel is not None else derived_fuel(ea, w)
     decider = decide_buchi_infinite if args.buchi else decide_prefix_infinite
-    return _report(decider(ea, w, fuel, _tracer(args.trace)))
+    return _report(decider(ea, w, args.fuel, _tracer(args.trace)))
 
 
 def _cmd_rr(args: argparse.Namespace) -> int:

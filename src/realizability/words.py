@@ -1,16 +1,16 @@
 """Computable infinite words and morphism images.
 
 Positions are 1-based throughout: ``W[1, n]`` is the length-n prefix and the
-empty prefix is position 0.  Words are represented by a memoizing buffer fed
-from either a symbol stream or a direct index formula, so repeated decisions
-against the same word never recompute symbols.  Streams are chained from chunks
-(Champernowne yields one length block, the universal indexed word one round
-filtered by ``compress``, a morphism image word the images of one slice of
-indices, the diagonal word of ``bridge`` one stage).  Symbols move in slices:
-the buffer pulls a stretch from its source with one ``list.extend``, and
-``iter_from`` reads it back in slices of 64 symbols doubling to 1024, extending
-it only at its end, so a reader runs at most 1024 symbols ahead.  Buffer
-extension is guarded by a lock; concurrent readers are safe.
+empty prefix is position 0.  A word is a memoizing buffer fed from a symbol
+stream, or a direct index formula, so a stream symbol is computed only once.
+Streams are chained from chunks (a Champernowne length block, a universal
+round filtered by ``compress``, the images of a slice of indices, a diagonal
+stage of ``bridge``).  The buffer pulls from its source with one
+``list.extend``, under a lock, and ``iter_from`` reads it in slices of 64
+symbols doubling to 1024, so a reader runs at most 1024 symbols ahead.  The
+buffer keeps every symbol its source produced and the exception that stopped
+it (``RuntimeError`` if the source just ends); every read past them raises
+that same exception, so all readers see one prefix, failure included.
 
 ``factor-universal`` tags a word that provably contains every finite word
 over its alphabet as a factor, together with a computable occurrence bound.
@@ -35,7 +35,7 @@ class MorphismStallError(RuntimeError):
 
 
 class _Buffered:
-    """Shared memoizing machinery for infinite sequences."""
+    """Shared memoizing machinery for infinite sequences; the one owner of its source's failure."""
 
     def __init__(self, source: Callable[[], Iterator] | None, index_fn: Callable[[int], object] | None):
         if (source is None) == (index_fn is None):
@@ -43,19 +43,24 @@ class _Buffered:
         self._index_fn = index_fn
         self._buf: list = []
         self._iter = source() if source is not None else None
+        self._failure = None  # (exception, its traceback at capture) once the source stops
         self._lock = threading.Lock()
 
-    def _extend_to(self, n: int) -> None:
-        buf = self._buf
-        if self._index_fn is not None or len(buf) >= n:
-            return
+    def _pull(self, n: int) -> int:
         with self._lock:
-            have = len(buf)
-            if have < n:
-                buf.extend(islice(self._iter, n - have))
-                if len(buf) < n:
-                    del buf[have:]
-                    raise RuntimeError(f"word source ended before position {n}")
+            if len(self._buf) < n and self._failure is None:
+                try:
+                    self._buf.extend(islice(self._iter, n - len(self._buf)))
+                    if len(self._buf) < n:
+                        raise RuntimeError(f"word source ended after position {len(self._buf)}")
+                except Exception as exc:  # what the source produced stays buffered
+                    self._failure = exc, exc.__traceback__
+        return len(self._buf)
+
+    def _extend_to(self, n: int) -> None:
+        if self._index_fn is None and len(self._buf) < n and self._pull(n) < n:
+            exc, tb = self._failure
+            raise exc.with_traceback(tb)  # as captured, so raising again does not grow it
 
     def _at(self, i: int):
         if i < 1:
@@ -87,8 +92,8 @@ class _Buffered:
         buf, index_fn = self._buf, self._index_fn
         size = 64
         while True:
-            if i >= len(buf):
-                self._extend_to(i + size)
+            if i >= len(buf) and index_fn is None and self._pull(i + size) == i:
+                self._extend_to(i + 1)  # nothing buffered at i: raises the source's failure
             piece = buf[i : i + size] if index_fn is None else list(map(index_fn, range(i + 1, i + size + 1)))
             yield piece
             i += len(piece)
@@ -283,6 +288,15 @@ def indexed_periodic(cycle: Iterable[int]) -> IndexedInfiniteWord:
     return IndexedInfiniteWord(index_fn=lambda i: seq[(i - 1) % len(seq)])
 
 
+class _Images(dict):
+    """``images[k]`` is ``image(k)``, asked for once, on the first read of k."""
+
+    __slots__ = ("image",)
+
+    def __missing__(self, k: int) -> Word:
+        return self.setdefault(k, self.image(k))
+
+
 def apply_morphism(
     phi: EffectiveMorphism, w: IndexedInfiniteWord, stall_limit: int = 100_000
 ) -> InfiniteWord:
@@ -291,33 +305,26 @@ def apply_morphism(
     Erasing images are fine as long as non-erasing ones keep coming; a run of
     ``stall_limit`` consecutive erasing images aborts with MorphismStallError
     since the image would not be an infinite word within the budget.  Indices
-    are mapped a slice at a time, their new images first; a stall, or an image
-    that raises, surfaces only when a reader reaches its position.
+    are mapped a slice at a time, each image computed when the stream reaches
+    it, so a stall or an image that raises stops the stream at its own
+    position, and the word's buffer keeps it there for every reader.
     """
 
-    def pieces() -> Iterator[Iterator[Symbol]]:
-        images: dict[int, Word] = {}  # indexed words repeat small indices
+    def pieces() -> Iterator[Iterable[Symbol]]:
+        images = _Images()  # indexed words repeat small indices
+        images.image = phi.image
         erased = 0
         for piece in w._slices(0):
-            failure = None
-            try:
-                for idx in dict.fromkeys(piece):  # first-occurrence order
-                    if idx not in images:
-                        images[idx] = phi.image(idx)
-            except Exception as exc:  # raised below, once the images before it are read
-                failure, piece = exc, piece[: piece.index(idx)]
             if erased + len(piece) > stall_limit:  # a stall may fall in this slice: count each image
-                for i, idx in enumerate(piece):
-                    erased = 0 if images[idx] else erased + 1
+                for idx in piece:
+                    img = images[idx]
+                    erased = 0 if img else erased + 1
                     if erased > stall_limit:
-                        stall = MorphismStallError(f"{stall_limit} consecutive erasing images; image word stalled")
-                        failure, piece = stall, piece[:i]
-                        break
+                        raise MorphismStallError(f"{stall_limit} consecutive erasing images; image word stalled")
+                    yield img
             else:
+                yield chain.from_iterable(map(images.__getitem__, piece))
                 erased = next((i for i, idx in enumerate(reversed(piece)) if images[idx]), erased + len(piece))
-            yield chain.from_iterable(map(images.__getitem__, piece))
-            if failure is not None:
-                raise failure
 
     return InfiniteWord(phi.alphabet, source=lambda: chain.from_iterable(pieces()))
 
@@ -331,7 +338,7 @@ def factor_search(w: InfiniteWord, needle: Word | str, limit: int) -> int | None
     if not pattern:
         return 1
     hay = w.prefix(limit)
-    if all(len(s) == 1 for s in w.alphabet.symbols):
+    if all(len(s) == 1 for s in chain(w.alphabet.symbols, pattern)):
         pos = "".join(hay).find("".join(pattern))
         return pos + 1 if pos >= 0 else None
     return _find(hay, pattern)
@@ -343,7 +350,7 @@ def indexed_factor_search(w: IndexedInfiniteWord, needle: Iterable[int], limit: 
     if not pattern:
         return 1
     hay = w.prefix(limit)
-    if max(pattern) < 256 and (not hay or max(hay) < 256):
+    if 0 <= min(pattern) <= max(pattern) < 256 and (not hay or max(hay) < 256):
         pos = bytes(hay).find(bytes(pattern))
         return pos + 1 if pos >= 0 else None
     return _find(hay, pattern)

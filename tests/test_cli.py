@@ -70,6 +70,19 @@ start: a
 trans: a _ _ R a
 """
 
+# decide-infinite --buchi without --fuel: the fuel of the dead-lock-accepting
+# variant reaches the answer, No at 103; the fuel derived from the automaton
+# itself is 1 symbol.
+BUCHI_FUEL_CASE = """\
+states: q0 q1
+initial: q0
+accepting: q0
+etrans: q0 q0 0%1 -4
+etrans: q0 q1 +4
+etrans: q1 q1 0%2
+etrans: q1 q1 1%2
+"""
+
 # Counts 1s mod 70 and accepts the count 69: the occurrence bound of its
 # definitive word along the Champernowne word is far past sys.maxsize.
 COUNTER70 = "alphabet: 0 1\nstates: {}\ninitial: c0\naccepting: c69\n{}".format(
@@ -104,6 +117,7 @@ def files(tmp_path):
         ("bad.ea", EFFECTIVE.replace("etrans: q1 q1 all", "etrans: q1 zz all")),
         ("overlap.ea", EFFECTIVE.replace("0%2", "all").replace("1%2", "all")),
         ("index0.ea", EFFECTIVE.replace("1%2", "+0")),
+        ("buchi-fuel.ea", BUCHI_FUEL_CASE),
         ("bad.aut", CONTAINS1.replace("trans: s1 1 s1", "trans: s1 1 s9")),
     ]:
         p = tmp_path / name
@@ -313,6 +327,10 @@ class TestDecideInfinite:
         out = capsys.readouterr().out
         assert code == 0
         assert out == "ANSWER=Yes EVIDENCE=0\n"
+
+    def test_buchi_without_fuel_derives_it_from_the_variant(self, files, capsys):
+        code = main(["decide-infinite", "--effective", files["buchi-fuel.ea"], "--buchi"])
+        assert (code, capsys.readouterr().out) == (1, "ANSWER=No EVIDENCE=103\n")
 
     def test_fuel_past_maxsize(self, files, capsys):
         code = main(["decide-infinite", "--effective", files["eff.txt"], "--fuel", str(10**30)])

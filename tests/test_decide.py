@@ -13,7 +13,9 @@ from realizability import (
     Dfa,
     Fuel,
     FuelExhausted,
+    MorphismStallError,
     Verdict,
+    apply_morphism,
     brute_force_prefix_check,
     champernowne,
     count_accepted_prefixes,
@@ -21,7 +23,10 @@ from realizability import (
     decide_buchi,
     decide_prefix,
     find_definitive_word,
+    indexed_periodic,
+    literal_dfa,
     ultimately_periodic,
+    zero_one_runs,
 )
 
 W = champernowne(BINARY)
@@ -62,6 +67,15 @@ class TestDecidePrefix:
         # against 1^omega the run dead-locks immediately
         ones = ultimately_periodic("", "1", alphabet=BINARY)
         assert decide_prefix(a_only0, ones, 100) == Verdict("No", 1, 1)
+
+    def test_a_stall_past_the_resolution_leaves_the_verdict(self):
+        # the image is "0" and then stalls: "0" answers Yes at 1, and a second
+        # run that reads past position 1 meets the same stall
+        img = apply_morphism(zero_one_runs(), indexed_periodic((2, 1, 1, 1)), stall_limit=2)
+        assert decide_prefix(literal_dfa("0", BINARY), img, 10) == Verdict("Yes", 1, 1)
+        for _ in range(2):
+            with pytest.raises(MorphismStallError, match="^2 consecutive erasing images; image word stalled$"):
+                decide_prefix(literal_dfa("00", BINARY), img, 10)
 
     def test_empty_prefix_accepted_at_position_zero(self):
         a = Dfa(BINARY, ("q",), {("q", "0"): "q", ("q", "1"): "q"}, "q", frozenset({"q"}))

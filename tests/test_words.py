@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
+import traceback
 from itertools import chain, count, islice, product, repeat
 
 import pytest
@@ -66,6 +67,13 @@ class TestChampernowne:
 
     def test_factor_search_empty_needle(self):
         assert factor_search(champernowne(BINARY), "", 3) == 1
+
+    def test_factor_search_needle_symbol_outside_the_alphabet(self):
+        # the word has no symbol "01", though its text has the characters 0 1
+        w = champernowne(BINARY)
+        assert factor_search(w, ("01",), 20) is None
+        assert factor_search(w, ("1", "01"), 20) is None
+        assert factor_search(w, ("1", "0"), 20) == 2
 
     def test_occurrence_bound_examples(self):
         bound = champernowne(BINARY).occurrence_bound
@@ -221,6 +229,10 @@ class TestUniversalIndexedWord:
         w = universal_indexed_word()
         assert indexed_factor_search(w, (3,), 10) is None
         assert indexed_factor_search(w, (), 1) == 1
+
+    @pytest.mark.parametrize("needle", [(0,), (-1,), (2, -1), (-300, 1)])
+    def test_indexed_factor_search_index_below_one(self, needle):
+        assert indexed_factor_search(universal_indexed_word(), needle, 20) is None
 
 
 class TestIndexedPeriodic:
@@ -452,12 +464,100 @@ class TestSliceBuffer:
         with pytest.raises(MorphismStallError):
             next(image.iter_from(2))
 
-    def test_short_source_raises_and_leaves_buffer_as_it_was(self):
+    def test_short_source_raises_and_keeps_what_it_produced(self):
         w = InfiniteWord(BINARY, source=lambda: iter("0110"))
         assert w.prefix(2) == ("0", "1")
         with pytest.raises(RuntimeError):
             w.prefix(10)
-        assert len(w._buf) == 2
+        assert w.prefix(4) == ("0", "1", "1", "0")
         assert w.prefix(2) == ("0", "1")
         with pytest.raises(RuntimeError):
             list(islice(w.iter_from(1), 10))
+
+
+# ---------------------------------------------------------------------------
+# The buffer keeps what its source produced and the exception that stopped it
+
+
+def failure(read) -> tuple[type, str]:
+    """The type and message of the exception that ``read()`` raises."""
+    with pytest.raises(Exception) as info:
+        read()
+    return info.type, str(info.value)
+
+
+def stalling() -> InfiniteWord:
+    """Index 2 maps to "0", index 1 erases: the third erasing 1 stalls at position 2."""
+    return apply_morphism(zero_one_runs(), indexed_periodic((2, 1, 1, 1)), stall_limit=2)
+
+
+STALL = (MorphismStallError, "2 consecutive erasing images; image word stalled")
+ENDED = (RuntimeError, "word source ended after position 4")
+
+
+class FailingMachines:
+    """A machine list whose simulation fails from step 3 on."""
+
+    def halts_within(self, k: int, n: int) -> bool:
+        if n >= 3:
+            raise ValueError("no simulation past step 2")
+        return False
+
+
+class TestSourceFailure:
+    def test_iter_from_yields_the_symbols_before_a_stall(self):
+        img = stalling()
+        assert next(img.iter_from(1)) == "0"
+        assert failure(lambda: next(img.iter_from(2))) == failure(lambda: list(img.iter_from(1))) == STALL
+
+    def test_a_stall_is_raised_again_by_every_read_past_it(self):
+        img = stalling()
+        assert failure(lambda: img.prefix(2)) == failure(lambda: img.prefix(2)) == STALL
+        assert failure(lambda: img.symbol_at(2)) == failure(lambda: img.segment(1, 5)) == STALL
+        assert img.prefix(1) == ("0",)
+
+    def test_the_kept_exception_is_raised_again_with_a_traceback_that_does_not_grow(self):
+        img = stalling()
+        raised, depths = set(), set()
+        for _ in range(5):
+            with pytest.raises(MorphismStallError) as info:
+                img.prefix(2)
+            raised.add(id(info.value))
+            depths.add(len(traceback.extract_tb(info.tb)))
+        assert len(raised) == len(depths) == 1
+
+    def test_symbols_before_an_image_that_raises_read_through_iter_from(self):
+        def image(k):
+            if k == 3:
+                raise ValueError("no image for 3")
+            return ("0", "1")[: k % 3]
+
+        phi = EffectiveMorphism(BINARY, image)
+        indices = universal_indexed_word().prefix(universal_round_end(2))
+        before = tuple(s for k in indices for s in image(k))
+        for n in range(len(before) + 1):
+            img = apply_morphism(phi, universal_indexed_word())
+            assert tuple(islice(img.iter_from(1), n)) == before[:n]
+        bad = (ValueError, "no image for 3")
+        assert failure(lambda: list(img.iter_from(1))) == failure(lambda: img.prefix(len(before) + 1)) == bad
+        assert img.prefix(len(before)) == before
+
+    def test_a_source_that_ends_keeps_its_symbols(self):
+        w = InfiniteWord(BINARY, source=lambda: iter("0110"))
+        assert failure(lambda: w.prefix(10)) == ENDED
+        assert w.prefix(4) == ("0", "1", "1", "0")
+        assert failure(lambda: w.symbol_at(5)) == failure(lambda: w.prefix(5)) == ENDED
+
+    def test_iter_from_reads_a_source_that_ends_up_to_its_end(self):
+        w = InfiniteWord(BINARY, source=lambda: iter("0110"))
+        assert list(islice(w.iter_from(1), 4)) == ["0", "1", "1", "0"]
+        assert failure(lambda: list(w.iter_from(1))) == failure(lambda: list(w.iter_from(3))) == ENDED
+        assert list(islice(w.iter_from(3), 2)) == ["1", "0"]
+
+    def test_a_diagonal_stage_that_fails_fails_on_every_read(self):
+        w = theorem1_word(FailingMachines())
+        end = w.ensure_stage(2).end
+        failed = (ValueError, "no simulation past step 2")
+        assert failure(lambda: w.ensure_stage(3)) == failure(lambda: w.ensure_stage(3)) == failed
+        assert failure(lambda: w.prefix(end + 1)) == failure(lambda: list(w.iter_from(1))) == failed
+        assert tuple(islice(w.iter_from(1), end)) == w.prefix(end)
