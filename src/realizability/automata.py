@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from itertools import chain, product
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 State = Any
@@ -443,11 +444,7 @@ def equivalent(a: Dfa, b: Dfa) -> bool:
 
 def words_upto(alphabet: Alphabet, max_len: int) -> Iterator[Word]:
     """All words of length 0..max_len in shortlex order."""
-    from itertools import product
-
-    for length in range(max_len + 1):
-        for tup in product(alphabet.symbols, repeat=length):
-            yield tup
+    return chain.from_iterable(product(alphabet.symbols, repeat=n) for n in range(max_len + 1))
 
 
 # Deepest parenthesis nesting regex_dfa parses: each level recurses four

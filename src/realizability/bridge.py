@@ -31,6 +31,7 @@ an integer table, one block per step, and finds its patch with one shortlex sear
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from itertools import chain, count, islice
 from typing import Callable, Iterator
@@ -51,6 +52,7 @@ from .automata import (
     meets,
     relabel_bfs,
     shortlex_search,
+    words_upto,
 )
 from .decide import Fuel, FuelExhausted, NO, Outcome, Verdict, _resolve
 from .effective import decide_prefix_morphism
@@ -87,29 +89,19 @@ class FilterLanguage:
     @classmethod
     def from_dfa(cls, d: Dfa) -> "FilterLanguage":
         """Regular filter: shortlex enumeration, product-emptiness rr decider."""
-        cache: list[Word] = []
-        lengths = count(0)
-        # L is infinite iff it has a word of length >= |Q|; precompute the flag
-        # so enumeration can fail loudly instead of scanning forever.
+        # L is infinite iff it has a word of length >= |Q|; a finite L is scanned
+        # only that far, so enumeration past its end fails loudly.
         pump = len(d.states)
-        long_words = _min_length_dfa(d.alphabet, pump)
-        finite = not meets(long_words, d)
-
-        def extend_to(i: int) -> None:
-            from itertools import product
-
-            while len(cache) < i:
-                length = next(lengths)
-                if finite and length > pump:
-                    raise IndexError(f"language is finite with {len(cache)} words")
-                for tup in product(d.alphabet.symbols, repeat=length):
-                    if d.accepts(tup):
-                        cache.append(tup)
+        finite = not meets(_min_length_dfa(d.alphabet, pump), d)
+        scan = filter(d.accepts, words_upto(d.alphabet, pump if finite else sys.maxsize))
+        cache: list[Word] = []
 
         def enumeration(i: int) -> Word:
             if i < 1:
                 raise IndexError("enumeration is 1-based")
-            extend_to(i)
+            cache.extend(islice(scan, max(i - len(cache), 0)))
+            if i > len(cache):
+                raise IndexError(f"language is finite with {len(cache)} words")
             return cache[i - 1]
 
         return cls(d.alphabet, lambda w: d.accepts(as_word(w)), enumeration, lambda r: meets(r, d))
@@ -188,11 +180,14 @@ def prefix_via_rr(
 ) -> Outcome:
     """Decide prefix realizability along the filter's enumerating word.
 
-    Runs the effective-automata reduction with the filter-backed oracle; the
+    Runs the effective-automata reduction with the filter-backed oracle.  The
+    separator is the symbol of ``a``'s alphabet that the filter alphabet lacks
+    (``#`` when there is none, which fails as an alphabet mismatch); the
     default fuel is derived from a definitive index sequence, so the call is
     total (on No instances the initial dead-lock check already answers).
     """
-    phi, _image = filter_to_word(lang)
+    separator = next((s for s in a.alphabet if s not in lang.alphabet), "#")
+    phi, _image = filter_to_word(lang, separator)
     if w is None:
         w = universal_indexed_word()
     return decide_prefix_morphism(a, phi, w, fuel)
@@ -201,8 +196,9 @@ def prefix_via_rr(
 def rr_pipeline(r: Dfa, lang: FilterLanguage, hash_symbol: Symbol = "#") -> Outcome:
     """End-to-end: does the filter language meet L(r)?
 
-    Builds the prefix-realizability instance with ``rr_to_prefix`` and
-    decides it with ``prefix_via_rr``.
+    Builds the prefix-realizability instance with ``rr_to_prefix`` over the
+    separator ``hash_symbol`` and decides it with ``prefix_via_rr``, which
+    reads the same separator off that automaton's alphabet.
     """
     return prefix_via_rr(rr_to_prefix(r, hash_symbol), lang)
 

@@ -21,6 +21,7 @@ Transition existence asks the image-language oracle about one flag product
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import gcd
 from typing import Callable, NamedTuple
@@ -194,7 +195,8 @@ def reduce_morphism_automaton(a: Dfa, phi: EffectiveMorphism) -> EffectiveAutoma
     ``(q, b) -s-> (q', b or q' in F)``.  A transition to ``(q_j, bit)``
     exists iff some image is accepted by that product with ``{(q_j, bit)}``
     as its accepting set; a pair the product never reaches needs no oracle
-    call.  Each product is built once per source state.
+    call.  Each product is built once per source state, and the oracle is
+    asked once per (source state, target) pair.
     """
     if phi.image_language_oracle is None:
         raise ValueError("morphism carries no image language oracle")
@@ -207,21 +209,17 @@ def reduce_morphism_automaton(a: Dfa, phi: EffectiveMorphism) -> EffectiveAutoma
         q = a.delta[qb[0], s]
         return q, 1 if qb[1] or q in accepting_states else 0
 
-    products: dict[State, tuple[tuple, dict]] = {}
-    exists_cache: dict[tuple[State, State, int], bool] = {}
+    @cache
+    def flag_product(source: State) -> tuple[tuple, dict]:
+        return explore(a.alphabet, (source, 1 if source in accepting_states else 0), flag_step)
+
+    @cache
+    def reaches(source: State, target: tuple[State, int]) -> bool:
+        order, moves = flag_product(source)
+        return target in order and oracle(Dfa(a.alphabet, order, moves, order[0], frozenset({target})))
 
     def exists(p: AugmentedState, q: AugmentedState) -> bool:
-        key = (p.base, q.base, q.bit)
-        if key not in exists_cache:
-            if p.base not in products:
-                start = (p.base, 1 if p.base in accepting_states else 0)
-                products[p.base] = explore(a.alphabet, start, flag_step)
-            order, moves = products[p.base]
-            target = (q.base, q.bit)
-            exists_cache[key] = target in order and oracle(
-                Dfa(a.alphabet, order, moves, order[0], frozenset({target}))
-            )
-        return exists_cache[key]
+        return reaches(p.base, (q.base, q.bit))
 
     def delta(k: int, p: AugmentedState) -> AugmentedState:
         image = phi.image(k)

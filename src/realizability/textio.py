@@ -11,7 +11,8 @@ Nondeterministic automata use ``initials:`` with one or more names and may
 repeat ``trans:`` lines freely.  Muller automata extend the deterministic
 format with one ``macro:`` line per acceptance-set member.  Blank lines and
 ``#`` comments are ignored.  Tokens are whitespace-separated, so state names
-and symbols cannot contain spaces.
+and symbols cannot contain spaces; a ``#`` inside a token is written ``\\#``,
+which the serializers do, so that it does not start a comment.
 
 Deterministic automata may be partial in the file; missing transitions are
 completed with an explicit non-accepting sink state at parse time.
@@ -19,12 +20,14 @@ completed with an explicit non-accepting sink state at parse time.
 
 from __future__ import annotations
 
+import re
 from typing import Callable
 
 from .automata import Alphabet, Dfa, Nfa, State, Symbol
 from .omega import MullerAutomaton
 
 SINK = "_sink"
+_COMMENT = re.compile(r"(?<!\\)#")  # a # that no backslash escapes
 
 
 class FormatError(ValueError):
@@ -39,11 +42,11 @@ def _tokenized(text: str, error: Callable[[int, str], Exception] = FormatError):
     """Yield ``(line_no, key, tokens)`` for every ``key: values`` line.
 
     The one line tokenizer of every text format in the package: comments
-    and blank lines are skipped, and a line without ``:`` raises
-    ``error(line_no, message)``.
+    and blank lines are skipped, ``\\#`` reads as ``#``, and a line without
+    ``:`` raises ``error(line_no, message)``.
     """
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (_COMMENT.split(raw, 1)[0].replace("\\#", "#") if "#" in raw else raw).strip()
         if not line:
             continue
         if ":" not in line:
@@ -188,7 +191,7 @@ def _dfa_text(a: Dfa, accepting_line: str, tail: tuple[str, ...] = ()) -> str:
         for s in a.alphabet:
             lines.append(f"trans: {q} {s} {a.delta[(q, s)]}")
     lines.extend(tail)
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines).replace("#", "\\#") + "\n"  # a # only comes from a token
 
 
 def serialize_nfa(n: Nfa) -> str:
@@ -200,7 +203,7 @@ def serialize_nfa(n: Nfa) -> str:
     ]
     for (p, s, q) in sorted(n.transitions, key=str):
         lines.append(f"trans: {p} {s} {q}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines).replace("#", "\\#") + "\n"  # a # only comes from a token
 
 
 def serialize_muller(m: MullerAutomaton) -> str:

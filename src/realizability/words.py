@@ -92,7 +92,7 @@ class _Buffered:
         buf, index_fn = self._buf, self._index_fn
         size = 64
         while True:
-            if i >= len(buf) and index_fn is None and self._pull(i + size) == i:
+            if i >= len(buf) and index_fn is None and self._pull(i + size) <= i:
                 self._extend_to(i + 1)  # nothing buffered at i: raises the source's failure
             piece = buf[i : i + size] if index_fn is None else list(map(index_fn, range(i + 1, i + size + 1)))
             yield piece
@@ -120,10 +120,10 @@ class InfiniteWord(_Buffered):
         return self._at(i)
 
     def segment(self, lo: int, hi: int) -> Word:
-        """Symbols at positions lo..hi inclusive."""
+        """Symbols at positions lo..hi inclusive; no position outside them is read."""
         if lo < 1 or hi < lo - 1:
             raise IndexError("bad segment bounds")
-        return self.prefix(hi)[lo - 1 :]
+        return tuple(islice(self.iter_from(lo), hi - lo + 1))
 
 
 class IndexedInfiniteWord(_Buffered):

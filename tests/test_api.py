@@ -201,3 +201,30 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+
+def test_every_private_top_level_name_is_used():
+    # a helper that a simplification leaves without callers should go with it
+    referenced: set[str] = set()
+    defined: list[tuple[str, str]] = []
+    for path in sorted(Path(realizability.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                own = {t.id for t in targets if isinstance(t, ast.Name)}
+            else:
+                own = set()
+            defined += [(path.name, name) for name in own if name.startswith("_") and not name.startswith("__")]
+            uses = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    uses.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    uses.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    uses.update(alias.name for alias in node.names)
+            referenced |= uses - own  # a definition does not count as its own use
+    assert sorted(f"{module} {name}" for module, name in defined if name not in referenced) == []

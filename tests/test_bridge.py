@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from itertools import islice
 
 import pytest
 
@@ -53,6 +54,16 @@ from realizability import (
 from realizability.bridge import Stage, _BlockRows, _decode_table, _patch_word
 
 
+class CountingDfa(Dfa):
+    """A ``Dfa`` that counts its ``accepts`` calls."""
+
+    calls = 0
+
+    def accepts(self, w):
+        object.__setattr__(self, "calls", self.calls + 1)
+        return super().accepts(w)
+
+
 def table_of(a: Dfa) -> tuple[list[tuple[int, int]], frozenset[int]]:
     """A binary automaton on states 0..s-1, numbered in the order of ``a.states``:
     each state's (successor on 0, successor on 1), and the accepting states."""
@@ -86,6 +97,32 @@ class TestFilterLanguage:
         assert lang.enumeration(1) == ("0", "1")
         with pytest.raises(IndexError):
             lang.enumeration(2)
+
+    @pytest.mark.parametrize("pattern, count", [("0+", 16), ("(01)*", 8), ("00", 1), (".*1", 200)])
+    def test_enumeration_is_the_accepted_shortlex_scan(self, pattern, count):
+        # 0+ and (01)* have one word per length or fewer, so their later words lie
+        # past 2^length scanned words; .*1 reaches index 200 at length 8
+        a = regex_dfa(pattern, BINARY)
+        d = CountingDfa(a.alphabet, a.states, a.delta, a.initial, a.accepting)
+        lang = FilterLanguage.from_dfa(d)
+        expected = list(islice((w for w in words_upto(BINARY, 16) if d.accepts(w)), count))
+        assert [lang.enumeration(i) for i in range(1, count + 1)] == expected
+        scanned = d.calls
+        assert [lang.enumeration(i) for i in range(count, 0, -1)] == expected[::-1]
+        assert d.calls == scanned  # a cached index pulls nothing from the scan
+        with pytest.raises(IndexError, match="^enumeration is 1-based$"):
+            lang.enumeration(0)
+
+    def test_finite_language_names_its_size(self):
+        lang = FilterLanguage.from_dfa(regex_dfa("00", BINARY))
+        for i in (2, 200, 3):
+            with pytest.raises(IndexError, match="^language is finite with 1 words$"):
+                lang.enumeration(i)
+        assert lang.enumeration(1) == ("0", "0")
+        lang = FilterLanguage.from_dfa(regex_dfa("0|11|(01)?", BINARY))
+        assert [lang.enumeration(i) for i in (4, 1)] == [("1", "1"), ()]
+        with pytest.raises(IndexError, match="^language is finite with 4 words$"):
+            lang.enumeration(5)
 
     def test_rr_decider(self):
         lang = FilterLanguage.from_dfa(regex_dfa("0+", BINARY))
@@ -214,6 +251,22 @@ class TestRrPipeline:
                 assert isinstance(outcome, Verdict)
                 expected = not is_empty(intersect(r, filter_dfa))
                 assert (outcome.answer == "Yes") == expected, r
+
+    @pytest.mark.parametrize("separator", ["$", "|"])
+    def test_any_separator_gives_the_same_outcome(self, separator):
+        rng = random.Random(f"rr-separator/{separator}")
+        for pattern in ("0+", "(01)*", "00"):
+            lang = FilterLanguage.from_dfa(regex_dfa(pattern, BINARY))
+            for _ in range(8):
+                r = random_dfa(rng, max_states=4)
+                assert rr_pipeline(r, lang, hash_symbol=separator) == rr_pipeline(r, lang), (pattern, r)
+
+    def test_prefix_via_rr_reads_the_separator_off_the_automaton(self):
+        lang = FilterLanguage.from_dfa(regex_dfa("0+", BINARY))
+        r = literal_dfa("00", BINARY)
+        assert prefix_via_rr(rr_to_prefix(r, "$"), lang) == prefix_via_rr(rr_to_prefix(r), lang) == Verdict("Yes", 2, 2)
+        with pytest.raises(ValueError, match="^morphism target alphabet differs from automaton alphabet$"):
+            prefix_via_rr(r, lang)  # over the filter alphabet alone: no separator
 
     def test_prefix_via_rr_epsilon_accepting(self):
         lang = FilterLanguage.from_dfa(regex_dfa("0+", BINARY))

@@ -9,7 +9,17 @@ from pathlib import Path
 
 import pytest
 
-from realizability import Alphabet, Dfa, equivalent
+from realizability import (
+    Alphabet,
+    Dfa,
+    apply_morphism,
+    equivalent,
+    parse_dfa,
+    regex_dfa,
+    rr_to_prefix,
+    universal_indexed_word,
+    zero_one_blocks,
+)
 from realizability.cli import DUMP_LIMIT, THEOREM1_STAGE_LIMIT, main
 
 CONTAINS1 = """\
@@ -398,6 +408,20 @@ class TestRr:
         assert captured.out == "ANSWER=Yes EVIDENCE=2\n"
         assert "trans:" in captured.err
 
+    def test_printed_reduction_reads_back(self, files, tmp_path, capsys):
+        # the reduction's # separator is printed as \#, so the file parses again
+        code = main(["rr", "--filter", files["zeros.aut"], "--regex", "00", "--show-reduction"])
+        printed = capsys.readouterr().err
+        assert code == 0
+        assert "alphabet: 0 1 \\#\n" in printed
+        reduction = tmp_path / "reduction.aut"
+        reduction.write_text(printed)
+        assert parse_dfa(printed) == rr_to_prefix(regex_dfa("00", Alphabet(("0", "1"))))
+        code = main(["definitive", str(reduction)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert captured.out.startswith("DEFINITIVE=")
+
     def test_malformed_filter_file(self, files, capsys):
         code = main(["rr", "--filter", files["bad.aut"], "--regex", "00"])
         assert_one_error_line(code, capsys.readouterr())
@@ -456,6 +480,15 @@ class TestWordDump:
         assert code == 0
         # indexed word starts 1, 2, 1, 1: images 01, 1, 01, 01
         assert out == "011010\n"
+
+    def test_zero_one_blocks_image(self, files, capsys):
+        code = main(["word", "dump", "--gen", "morphism", "--morphism", "zero-one-blocks", "--upto", "16"])
+        out = capsys.readouterr().out
+        expected = apply_morphism(zero_one_blocks(), universal_indexed_word()).prefix(16)
+        assert (code, out) == (0, "0101010101110111\n") == (0, "".join(expected) + "\n")
+        argv = ["decide-prefix", "--automaton", files["contains1.aut"], "--gen", "morphism"]
+        code = main(argv + ["--morphism", "zero-one-blocks", "--fuel", "100"])
+        assert (code, capsys.readouterr().out) == (0, "ANSWER=Yes EVIDENCE=2\n")
 
     def test_upto_past_the_limit_generates_nothing(self, capsys):
         started = time.perf_counter()
@@ -530,6 +563,22 @@ class TestErrors:
         assert_one_error_line(code, captured)
         message = f"regex {pattern!r}: parentheses nested deeper than 100 at position 100"
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--gen", "morphism", "--morphism", "cyclic:,"], "cyclic morphism needs at least one non-empty image"),
+            (["--gen", "morphism", "--morphism", "frob"], "unknown morphism 'frob'"),
+            (["--gen", "morphism"], "morphism generator needs --morphism"),
+            (["--gen", "theorem1"], "theorem1 generator needs --machines <file>"),
+        ],
+    )
+    def test_generator_flag_errors(self, files, flags, message, capsys):
+        for argv in (["word", "dump", "--upto", "5"], ["decide-prefix", "--automaton", files["contains1.aut"]]):
+            code = main(argv + flags)
+            captured = capsys.readouterr()
+            assert_one_error_line(code, captured)
+            assert captured.err == f"error: {message}\n"
 
     def test_ultper_without_loop(self, files, capsys):
         code = main(
@@ -654,8 +703,9 @@ RR_FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "cli_rr.json").rea
 
 
 def read_reduction(text: str) -> Dfa:
-    """The automaton ``serialize_dfa`` printed, read without ``parse_dfa``,
-    which would take the ``#`` separator for the start of a comment."""
+    """The automaton ``serialize_dfa`` printed before it wrote the ``#``
+    separator as ``\\#``, read without ``parse_dfa``, which takes an
+    unescaped ``#`` for the start of a comment."""
     fields, delta = {}, {}
     for line in text.splitlines():
         key, _, rest = line.partition(":")
@@ -676,7 +726,7 @@ def test_rr_calls_keep_their_answers(tmp_path_factory, capsys):
         code = main(resolved(root, case["argv"]))
         captured = capsys.readouterr()
         assert (captured.out, code) == (case["stdout"], case["code"]), case["argv"]
-        printed, recorded = read_reduction(captured.err), read_reduction(case["stderr"])
+        printed, recorded = parse_dfa(captured.err), read_reduction(case["stderr"])
         assert equivalent(printed, recorded), case["argv"]
         assert len(printed.states) <= len(recorded.states), case["argv"]
 

@@ -600,6 +600,29 @@ class TestParseEffective:
             parse_effective(FIXTURE_TEXT + line + "\n")
         assert exc_info.value.line_no == 8
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("states: q0 q0\ninitial: q0\n", "line 1: duplicate state names"),
+            ("states: q0\ninitial: q0 q1\n", "line 2: initial: expects one state"),
+            ("states: q0\ninitial: q0\netrans: q0 q0\n", "line 3: etrans line needs: source target index-set..."),
+            ("states: q0\ninitial: q0\ntrans: q0 q0 all\n", "line 3: unknown section 'trans'"),
+            ("states: q0\naccepting: q0\n", "line 1: missing or unknown initial state"),
+            ("states: q0\ninitial: q1\n", "line 1: missing or unknown initial state"),
+            ("states: q0\ninitial: q0\naccepting: q0 q1\n", "line 1: accepting set contains unknown states"),
+        ],
+    )
+    def test_message_and_line(self, text, message):
+        with pytest.raises(EffectiveFormatError) as exc_info:
+            parse_effective(text)
+        assert str(exc_info.value) == message
+        assert exc_info.value.line_no == int(message.split(":")[0].removeprefix("line "))
+
+    def test_no_accepting_line_accepts_nothing(self):
+        ea = parse_effective("states: q0 q1\ninitial: q0\netrans: q0 q1 all\n")
+        assert ea.accepting == frozenset()
+        assert effective_dead_locks(ea) == frozenset({"q0", "q1"})
+
     def test_delta_without_rule_fails(self):
         text = "states: a b\ninitial: a\naccepting: b\netrans: a b all\n"
         ea = parse_effective(text)

@@ -13,12 +13,17 @@ import pytest
 from helpers import random_dfa, random_nfa
 import realizability
 from realizability import (
+    Alphabet,
+    Dfa,
     FormatError,
     MullerAutomaton,
     equivalent,
+    literal_dfa,
     parse_dfa,
     parse_muller,
     parse_nfa,
+    relabel_bfs,
+    rr_to_prefix,
     serialize_dfa,
     serialize_muller,
     serialize_nfa,
@@ -169,3 +174,86 @@ macro: q1
         again = parse_muller(serialize_muller(m))
         assert again.acceptance_family == m.acceptance_family
         assert again.delta == m.delta
+
+
+HEAD = "alphabet: 0 1\nstates: s0 s1\ninitial: s0\n"  # lines 1-3
+
+
+class TestInputErrors:
+    """Every input error of the three automaton parsers, message and line number."""
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_dfa, HEAD + "macro: s0\n", "line 4: unknown or misplaced section 'macro'"),
+            (parse_nfa, HEAD, "line 3: unknown or misplaced section 'initial'"),
+            (parse_dfa, HEAD + "trans: s0 0\n", "line 4: trans line needs: source symbol target"),
+            (parse_dfa, HEAD + "trans: s0 0 s1 s1\n", "line 4: trans line needs: source symbol target"),
+            (parse_dfa, HEAD + "accepting: s1\naccepting: s0\n", "line 5: duplicate 'accepting' line"),
+            (parse_dfa, "alphabet: 0 0\nstates: s0\ninitial: s0\n", "line 1: alphabet contains duplicate symbols"),
+            (parse_dfa, "alphabet:\nstates: s0\ninitial: s0\n", "line 1: alphabet must contain at least one symbol"),
+            (parse_dfa, "alphabet: 0\nstates: s0 s0\ninitial: s0\n", "line 2: duplicate state names"),
+            (parse_dfa, HEAD + "accepting: s1 s2\n", "line 4: unknown accepting state 's2'"),
+            (parse_dfa, HEAD + "trans: s0 2 s1\n", "line 4: unknown symbol '2'"),
+            (parse_nfa, "alphabet: 0\nstates: s0\ninitials: s0 s1\n", "line 3: unknown initial state 's1'"),
+            (parse_muller, HEAD + "macro: s0\nmacro: s1 s2\n", "line 5: unknown state 's2' in macro line"),
+            (parse_dfa, "alphabet: 0\nstates: s0 s1\ninitial: s0 s1\n", "line 3: initial: expects exactly one state name"),
+            (parse_muller, "alphabet: 0\nstates: s0\ninitial:\n", "line 3: initial: expects exactly one state name"),
+            (parse_dfa, "alphabet: 0\nstates: s0\ninitial: s1\n", "line 3: unknown state 's1'"),
+        ],
+    )
+    def test_message_and_line(self, parse, text, message):
+        with pytest.raises(FormatError) as err:
+            parse(text)
+        assert str(err.value) == message
+        assert err.value.line_no == int(message.split(":")[0].removeprefix("line "))
+
+    def test_completion_sink_avoids_a_state_named_like_it(self):
+        text = "alphabet: 0\nstates: _sink __sink\ninitial: _sink\naccepting: _sink\ntrans: _sink 0 __sink\n"
+        a = parse_dfa(text)
+        assert a.states == ("_sink", "__sink", "___sink")
+        assert a.delta == {("_sink", "0"): "__sink", ("__sink", "0"): "___sink", ("___sink", "0"): "___sink"}
+
+
+class TestCommentEscape:
+    """A ``#`` inside a token is written ``\\#``; an unescaped ``#`` starts a comment."""
+
+    def test_escaped_hash_is_a_symbol(self):
+        text = "alphabet: 0 \\# # the separator\nstates: s0\ninitial: s0\naccepting: s0\n"
+        text += "trans: s0 0 s0\ntrans: s0 \\# s0 # loop\n"
+        a = parse_dfa(text)
+        assert a.alphabet.symbols == ("0", "#")
+        assert a.delta == {("s0", "0"): "s0", ("s0", "#"): "s0"}
+
+    def test_a_backslash_elsewhere_keeps_its_meaning(self):
+        a = parse_dfa("alphabet: \\ a\\b\nstates: s\\0\ninitial: s\\0 #\\# comment\n")
+        assert a.alphabet.symbols == ("\\", "a\\b")
+        assert a.initial == "s\\0"
+
+    def test_serializers_escape_the_comment_marker(self):
+        a = Dfa(Alphabet(("0", "#")), ("q#1",), {("q#1", "0"): "q#1", ("q#1", "#"): "q#1"}, "q#1", frozenset({"q#1"}))
+        assert serialize_dfa(a) == (
+            "alphabet: 0 \\#\nstates: q\\#1\ninitial: q\\#1\naccepting: q\\#1\n"
+            "trans: q\\#1 0 q\\#1\ntrans: q\\#1 \\# q\\#1\n"
+        )
+
+    @pytest.mark.parametrize("symbols", [("0", "1", "#"), ("#", "a#", "\\#", "\\", "#b")])
+    def test_round_trip_random_with_hash(self, symbols):
+        rng = random.Random(20)
+        alphabet = Alphabet(symbols)
+        for _ in range(25):
+            a = relabel_bfs(random_dfa(rng, max_states=6, alphabet=alphabet), prefix="q#")
+            assert parse_dfa(serialize_dfa(a)) == a
+            n = random_nfa(rng, alphabet=alphabet)
+            m = parse_nfa(serialize_nfa(n))
+            assert (m.alphabet, m.states, m.transitions, m.initials, m.accepting) == (
+                n.alphabet, n.states, n.transitions, n.initials, n.accepting
+            )
+            family = frozenset({a.accepting, frozenset(a.states)})
+            muller = MullerAutomaton(a.alphabet, a.states, a.delta, a.initial, family)
+            again = parse_muller(serialize_muller(muller))
+            assert (again.dfa, again.acceptance_family) == (muller.dfa, muller.acceptance_family)
+
+    def test_the_rr_reduction_reads_back(self):
+        d = rr_to_prefix(literal_dfa("00", Alphabet(("0", "1"))))
+        assert parse_dfa(serialize_dfa(d)) == d

@@ -14,6 +14,7 @@ from conftest import MACHINES_TEXT
 from helpers import ABC, BINARY, random_word
 from realizability import (
     FACTOR_UNIVERSAL,
+    Alphabet,
     AlphabetMismatchError,
     EffectiveMorphism,
     IndexedInfiniteWord,
@@ -107,6 +108,38 @@ class TestChampernowne:
         w = champernowne(BINARY)
         assert "".join(w.segment(6, 7)) == "11"
         assert w.segment(3, 2) == ()
+
+
+    def test_segment_reads_only_its_positions(self):
+        read = []
+
+        def index_fn(i):
+            read.append(i)
+            return "01"[i % 2]
+
+        w = InfiniteWord(BINARY, index_fn=index_fn)
+        assert w.segment(1000, 1002) == ("0", "1", "0")
+        assert read == [1000, 1001, 1002]
+        assert ultimately_periodic("", "01").segment(10**6, 10**6 + 2) == ("1", "0", "1")
+
+    def test_segment_bounds(self):
+        w = champernowne(BINARY)
+        for lo, hi in ((0, 3), (5, 3)):
+            with pytest.raises(IndexError, match="^bad segment bounds$"):
+                w.segment(lo, hi)
+
+    def test_slow_search_with_multi_character_symbols(self):
+        w = champernowne(Alphabet(("ab", "c")))
+        assert w.prefix(6) == ("ab", "c", "ab", "ab", "ab", "c")
+        assert factor_search(w, ("c", "ab", "ab"), 20) == 2
+        assert factor_search(w, ("c", "c", "ab", "ab"), 20) == 9
+        assert factor_search(w, ("c", "c", "ab", "ab"), 11) is None
+
+    def test_slow_search_with_an_index_past_255(self):
+        w = indexed_periodic((1, 300, 2))
+        assert indexed_factor_search(w, (300, 2), 10) == 2
+        assert indexed_factor_search(w, (2, 1, 300), 10) == 3
+        assert indexed_factor_search(w, (300, 300), 10) is None
 
 
 class TestUltimatelyPeriodic:
@@ -547,6 +580,13 @@ class TestSourceFailure:
         assert failure(lambda: w.prefix(10)) == ENDED
         assert w.prefix(4) == ("0", "1", "1", "0")
         assert failure(lambda: w.symbol_at(5)) == failure(lambda: w.prefix(5)) == ENDED
+
+    def test_a_read_that_starts_past_the_end_raises(self):
+        w = InfiniteWord(BINARY, source=lambda: iter("0110"))
+        assert failure(lambda: next(w._slices(9))) == ENDED  # once an endless run of empty slices
+        assert failure(lambda: next(w.iter_from(10))) == failure(lambda: w.segment(10, 12)) == ENDED
+        assert failure(lambda: w.segment(3, 5)) == ENDED
+        assert w.segment(2, 4) == ("1", "1", "0")
 
     def test_iter_from_reads_a_source_that_ends_up_to_its_end(self):
         w = InfiniteWord(BINARY, source=lambda: iter("0110"))
