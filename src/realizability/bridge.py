@@ -56,7 +56,7 @@ from .automata import (
 )
 from .decide import Fuel, FuelExhausted, NO, Outcome, Verdict, _resolve
 from .effective import decide_prefix_morphism
-from .textio import _tokenized
+from .textio import FormatError, _sections, _tokenized
 from .words import (
     EffectiveMorphism,
     IndexedInfiniteWord,
@@ -376,45 +376,36 @@ def parse_machines(text: str) -> MachineList:
 
     A missing transition halts the machine; the blank tape symbol is ``_``.
     A second ``start:`` line, or a second rule for one (state, read) pair, is an error.
+    Each ``FormatError`` names its line; a machine without ``start:`` names its ``machine:`` line.
     """
-    machines: list[_MachineSim] = []
-    names: list[str] = []
-    current_rules: dict[tuple[str, str], tuple[str, str, str]] | None = None
-    current_start: str | None = None
-
-    def flush(line_no: int) -> None:
-        nonlocal current_rules, current_start
-        if current_rules is None:
-            return
-        if current_start is None:
-            raise ValueError(f"line {line_no}: machine {names[-1]!r} has no start: line")
-        machines.append(_MachineSim(current_start, current_rules))
-        current_rules, current_start = None, None
-
-    for line_no, key, tokens in _tokenized(text, lambda n, msg: ValueError(f"line {n}: {msg}")):
+    groups: list[tuple[int, str, list]] = []  # (line_no, name, lines) of each machine: section
+    for line_no, key, tokens in _tokenized(text):
         if key == "machine":
-            flush(line_no)
-            names.append(tokens[0] if tokens else f"m{len(names) + 1}")
-            current_rules = {}
-        elif key == "start":
-            if current_rules is None or len(tokens) != 1:
-                raise ValueError(f"line {line_no}: start: outside machine or malformed")
-            if current_start is not None:
-                raise ValueError(f"line {line_no}: duplicate 'start' line")
-            current_start = tokens[0]
-        elif key == "trans":
-            if current_rules is None or len(tokens) != 5:
-                raise ValueError(f"line {line_no}: trans line needs: state read write move next")
+            groups.append((line_no, tokens[0] if tokens else f"m{len(groups) + 1}", []))
+        elif groups:
+            groups[-1][2].append((line_no, key, tokens))
+        else:
+            raise FormatError(line_no, f"{key}: outside machine or malformed")
+    machines: list[_MachineSim] = []
+    for header_line, name, lines in groups:
+        sections = _sections(lines, ("start",), ("trans",))
+        rules: dict[tuple[str, str], tuple[str, str, str]] = {}
+        for line_no, tokens in sections["trans"]:
+            if len(tokens) != 5:
+                raise FormatError(line_no, "trans line needs: state read write move next")
             state, read, write, move, nxt = tokens
             if move not in _MOVE:
-                raise ValueError(f"line {line_no}: move must be one of L R S")
-            if (state, read) in current_rules:
-                raise ValueError(f"line {line_no}: duplicate transition for ({state!r}, {read!r})")
-            current_rules[(state, read)] = (write, move, nxt)
-        else:
-            raise ValueError(f"line {line_no}: unknown section {key!r}")
-    flush(len(text.splitlines()) + 1)
-    return MachineList(machines, names)
+                raise FormatError(line_no, "move must be one of L R S")
+            if (state, read) in rules:
+                raise FormatError(line_no, f"duplicate transition for ({state!r}, {read!r})")
+            rules[(state, read)] = (write, move, nxt)
+        if "start" not in sections:
+            raise FormatError(header_line, f"machine {name!r} has no start: line")
+        line_no, start = sections["start"]
+        if len(start) != 1:
+            raise FormatError(line_no, "start: outside machine or malformed")
+        machines.append(_MachineSim(start[0], rules))
+    return MachineList(machines, [name for _line_no, name, _lines in groups])
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from .automata import AlphabetMismatchError, Dfa, State, dead_lock_states
-from .definitive import find_definitive_word
+from .definitive import _definitive_word
 from .words import IndexedInfiniteWord, InfiniteWord
 
 YES = "Yes"
@@ -176,9 +176,10 @@ def decide_prefix(
     ``on_step(position, state)`` is called for position 0 (initial state)
     and after every symbol read, before the verdict checks.
     """
-    fuel = Fuel.of(fuel) if fuel is not None else _occurrence_fuel(w, find_definitive_word(a))
+    dead = dead_lock_states(a)
+    fuel = Fuel.of(fuel) if fuel is not None else _occurrence_fuel(w, _definitive_word(a, dead))
     _check_same_alphabet(a, w)
-    return _resolve(a.step, a.initial, _stretch(w, fuel), a.accepting, dead_lock_states(a), on_step)
+    return _resolve(a.step, a.initial, _stretch(w, fuel), a.accepting, dead, on_step)
 
 
 def deadlock_accepting_variant(a: Dfa) -> Dfa:

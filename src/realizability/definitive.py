@@ -118,9 +118,14 @@ def find_definitive_word(a: Dfa) -> Word:
     The witness of a state that is not dead-locked is the shortlex-least word
     driving it into an accepting state, which exists by definition.
     """
+    return _definitive_word(a, dead_lock_states(a))
+
+
+def _definitive_word(a: Dfa, dead: frozenset[State]) -> Word:
+    """``find_definitive_word(a)`` given the dead-lock set of ``a``."""
     return definitive_fold(
         a.states,
-        dead_lock_states(a),
+        dead,
         lambda word, q: a.run(word, start=q),
         lambda q: shortlex_search(a.alphabet, q, a.accepting.__contains__, lambda p, s: a.delta[p, s]),
     )

@@ -41,7 +41,7 @@ from .automata import (
 )
 from .decide import Fuel, Outcome, _negated, _occurrence_fuel, _resolve, _stretch
 from .definitive import definitive_fold
-from .textio import FormatError, _tokenized
+from .textio import FormatError, _sections, _tokenized
 from .words import EffectiveMorphism, IndexedInfiniteWord
 
 
@@ -374,50 +374,39 @@ def parse_effective(text: str) -> EffectiveAutomaton:
         etrans: q1 q1 all
 
     The third and later tokens of an ``etrans`` line form an index-set
-    expression (see IndexSet.parse).
+    expression (see IndexSet.parse), and its states must be declared above
+    it.  Each ``EffectiveFormatError`` names its line; a missing section says line 1.
     """
-    states: tuple[str, ...] | None = None
-    initial = None
-    accepting: frozenset[str] | None = None
-    rules: dict[State, list[tuple[IndexSet, State]]] = {}
-    once: set[str] = set()
-    for line_no, key, tokens in _tokenized(text, EffectiveFormatError):
-        if key in once:
-            raise EffectiveFormatError(line_no, f"duplicate {key!r} line")
-        if key != "etrans":
-            once.add(key)
-        if key == "states":
-            states = tuple(tokens)
-            if len(set(states)) != len(states):
-                raise EffectiveFormatError(line_no, "duplicate state names")
-        elif key == "initial":
-            if len(tokens) != 1:
-                raise EffectiveFormatError(line_no, "initial: expects one state")
-            initial = tokens[0]
-        elif key == "accepting":
-            accepting = frozenset(tokens)
-        elif key == "etrans":
-            if len(tokens) < 3:
-                raise EffectiveFormatError(line_no, "etrans line needs: source target index-set...")
-            src, dst = tokens[0], tokens[1]
-            if states is None or src not in states or dst not in states:
-                raise EffectiveFormatError(line_no, f"unknown state in etrans line")
-            try:
-                index_set = IndexSet.parse(tokens[2:])
-            except ValueError as exc:
-                raise EffectiveFormatError(line_no, str(exc)) from None
-            rules.setdefault(src, []).append((index_set, dst))
-        else:
-            raise EffectiveFormatError(line_no, f"unknown section {key!r}")
-    if states is None:
+    sections = _sections(
+        _tokenized(text, EffectiveFormatError), ("states", "initial", "accepting"), ("etrans",), EffectiveFormatError
+    )
+    if "states" not in sections:
         raise EffectiveFormatError(1, "missing states: line")
-    if initial is None or initial not in states:
-        raise EffectiveFormatError(1, "missing or unknown initial state")
-    if accepting is None:
-        accepting = frozenset()
-    if not accepting <= set(states):
-        raise EffectiveFormatError(1, "accepting set contains unknown states")
-    return effective_from_index_sets(states, rules, initial, accepting)
+    states_line, states = sections["states"]
+    state_set = set(states)
+    if len(state_set) != len(states):
+        raise EffectiveFormatError(states_line, "duplicate state names")
+    line_no, initial = sections.get("initial", (1, None))
+    if initial is not None and len(initial) != 1:
+        raise EffectiveFormatError(line_no, "initial: expects one state")
+    if initial is None or initial[0] not in state_set:
+        raise EffectiveFormatError(line_no, "missing or unknown initial state")
+    line_no, accepting = sections.get("accepting", (1, ()))
+    if not state_set.issuperset(accepting):
+        raise EffectiveFormatError(line_no, "accepting set contains unknown states")
+    rules: dict[State, list[tuple[IndexSet, State]]] = {}
+    for line_no, tokens in sections["etrans"]:
+        if len(tokens) < 3:
+            raise EffectiveFormatError(line_no, "etrans line needs: source target index-set...")
+        src, dst = tokens[0], tokens[1]
+        if line_no < states_line or src not in state_set or dst not in state_set:
+            raise EffectiveFormatError(line_no, "unknown state in etrans line")
+        try:
+            index_set = IndexSet.parse(tokens[2:])
+        except ValueError as exc:
+            raise EffectiveFormatError(line_no, str(exc)) from None
+        rules.setdefault(src, []).append((index_set, dst))
+    return effective_from_index_sets(tuple(states), rules, initial[0], frozenset(accepting))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ repeat ``trans:`` lines freely.  Muller automata extend the deterministic
 format with one ``macro:`` line per acceptance-set member.  Blank lines and
 ``#`` comments are ignored.  Tokens are whitespace-separated, so state names
 and symbols cannot contain spaces; a ``#`` inside a token is written ``\\#``,
-which the serializers do, so that it does not start a comment.
+which the serializers do, so that it does not start a comment.  Every text
+format of the package is read by ``_tokenized`` and ``_sections``, and each
+parse error names the line it is about (line 1 for a missing section).
 
 Deterministic automata may be partial in the file; missing transitions are
 completed with an explicit non-accepting sink state at parse time.
@@ -55,50 +57,50 @@ def _tokenized(text: str, error: Callable[[int, str], Exception] = FormatError):
         yield line_no, key.strip(), rest.split()
 
 
-def _collect(text: str, kind: str) -> dict:
-    """Shared first pass: gather sections and check them against ``kind``."""
-    allowed = {
-        "dfa": {"alphabet", "states", "initial", "accepting", "trans"},
-        "nfa": {"alphabet", "states", "initials", "accepting", "trans"},
-        "muller": {"alphabet", "states", "initial", "accepting", "trans", "macro"},
-    }[kind]
-    seen: dict = {"trans": [], "macro": [], "line_of": {}}
-    for line_no, key, tokens in _tokenized(text):
-        if key not in allowed:
-            raise FormatError(line_no, f"unknown or misplaced section {key!r}")
-        if key == "trans":
-            if len(tokens) != 3:
-                raise FormatError(line_no, "trans line needs: source symbol target")
-            seen["trans"].append((line_no, tokens))
-        elif key == "macro":
-            seen["macro"].append((line_no, tokens))
+def _sections(lines, once: tuple, repeated: tuple, error: Callable[[int, str], Exception] = FormatError) -> dict:
+    """Read tokenized lines into sections: a key in ``once`` maps to its
+    ``(line_no, tokens)``, a key in ``repeated`` to the list of them.
+
+    The one section reader of every text format: a second line of a
+    ``once`` key, or a key in neither, raises ``error(line_no, message)``.
+    """
+    sections: dict = {key: [] for key in repeated}
+    for line_no, key, tokens in lines:
+        if key in once:
+            if key in sections:
+                raise error(line_no, f"duplicate {key!r} line")
+            sections[key] = (line_no, tokens)
+        elif key in repeated:
+            sections[key].append((line_no, tokens))
         else:
-            if key in seen:
-                raise FormatError(line_no, f"duplicate {key!r} line")
-            seen[key] = tokens
-            seen["line_of"][key] = line_no
-    for required in ("alphabet", "states", "initials" if kind == "nfa" else "initial"):  # in line order
-        if required not in seen:
+            raise error(line_no, f"unknown or misplaced section {key!r}")
+    return sections
+
+
+def _base(text: str, initial: str, repeated: tuple = ("trans",)):
+    sections = _sections(_tokenized(text), ("alphabet", "states", initial, "accepting"), repeated)
+    for required in ("alphabet", "states", initial):  # in line order
+        if required not in sections:
             raise FormatError(1, f"missing {required!r} line")
-    return seen
-
-
-def _base(text: str, kind: str):
-    seen = _collect(text, kind)
+    line_no, symbols = sections["alphabet"]
     try:
-        alphabet = Alphabet(tuple(seen["alphabet"]))
+        alphabet = Alphabet(tuple(symbols))
     except ValueError as exc:
-        raise FormatError(seen["line_of"]["alphabet"], str(exc)) from None
-    states = tuple(seen["states"])
+        raise FormatError(line_no, str(exc)) from None
+    line_no, states = sections["states"]
+    states = tuple(states)
     if len(set(states)) != len(states):
-        raise FormatError(seen["line_of"]["states"], "duplicate state names")
+        raise FormatError(line_no, "duplicate state names")
     state_set = set(states)
-    accepting = seen.get("accepting", [])
+    line_no, accepting = sections.get("accepting", (1, []))
     for name in accepting:
         if name not in state_set:
-            raise FormatError(seen["line_of"].get("accepting", 1), f"unknown accepting state {name!r}")
+            raise FormatError(line_no, f"unknown accepting state {name!r}")
     triples = []
-    for line_no, (src, sym, dst) in seen["trans"]:
+    for line_no, tokens in sections["trans"]:
+        if len(tokens) != 3:
+            raise FormatError(line_no, "trans line needs: source symbol target")
+        src, sym, dst = tokens
         if src not in state_set:
             raise FormatError(line_no, f"unknown state {src!r}")
         if dst not in state_set:
@@ -106,40 +108,39 @@ def _base(text: str, kind: str):
         if sym not in alphabet:
             raise FormatError(line_no, f"unknown symbol {sym!r}")
         triples.append((line_no, src, sym, dst))
-    return seen, alphabet, states, frozenset(accepting), triples
+    return sections, alphabet, states, frozenset(accepting), triples
 
 
 def parse_dfa(text: str) -> Dfa:
-    seen, alphabet, states, accepting, triples = _base(text, "dfa")
-    initial = _single(seen, "initial", set(states))
-    return _completed(alphabet, states, _delta(triples), initial, accepting)
+    sections, alphabet, states, accepting, triples = _base(text, "initial")
+    initial = _single(sections, "initial", set(states))
+    return Dfa(alphabet, *_completed(alphabet, states, _delta(triples)), initial, accepting)
 
 
 def parse_nfa(text: str) -> Nfa:
-    seen, alphabet, states, accepting, triples = _base(text, "nfa")
+    sections, alphabet, states, accepting, triples = _base(text, "initials")
     state_set = set(states)
-    initials = seen["initials"]
+    line_no, initials = sections["initials"]
     for name in initials:
         if name not in state_set:
-            raise FormatError(seen["line_of"]["initials"], f"unknown initial state {name!r}")
+            raise FormatError(line_no, f"unknown initial state {name!r}")
     transitions = frozenset((src, sym, dst) for _ln, src, sym, dst in triples)
     return Nfa(alphabet, states, transitions, frozenset(initials), accepting)
 
 
 def parse_muller(text: str) -> MullerAutomaton:
-    seen, alphabet, states, accepting, triples = _base(text, "muller")
+    sections, alphabet, states, accepting, triples = _base(text, "initial", ("trans", "macro"))
     if accepting:
-        raise FormatError(seen["line_of"]["accepting"], "muller automata use macro: lines, not accepting:")
-    initial = _single(seen, "initial", set(states))
+        raise FormatError(sections["accepting"][0], "muller automata use macro: lines, not accepting:")
+    initial = _single(sections, "initial", set(states))
     state_set = set(states)
     family = set()
-    for line_no, tokens in seen["macro"]:
+    for line_no, tokens in sections["macro"]:
         for name in tokens:
             if name not in state_set:
                 raise FormatError(line_no, f"unknown state {name!r} in macro line")
         family.add(frozenset(tokens))
-    completed = _completed(alphabet, states, _delta(triples), initial, frozenset())
-    return MullerAutomaton(alphabet, completed.states, completed.delta, initial, frozenset(family))
+    return MullerAutomaton(alphabet, *_completed(alphabet, states, _delta(triples)), initial, frozenset(family))
 
 
 def _delta(triples: list) -> dict[tuple[State, Symbol], State]:
@@ -152,16 +153,17 @@ def _delta(triples: list) -> dict[tuple[State, Symbol], State]:
     return delta
 
 
-def _single(seen: dict, key: str, state_set: set) -> str:
-    tokens = seen[key]
+def _single(sections: dict, key: str, state_set: set) -> str:
+    line_no, tokens = sections[key]
     if len(tokens) != 1:
-        raise FormatError(seen["line_of"][key], f"{key}: expects exactly one state name")
+        raise FormatError(line_no, f"{key}: expects exactly one state name")
     if tokens[0] not in state_set:
-        raise FormatError(seen["line_of"][key], f"unknown state {tokens[0]!r}")
+        raise FormatError(line_no, f"unknown state {tokens[0]!r}")
     return tokens[0]
 
 
-def _completed(alphabet: Alphabet, states: tuple, delta: dict, initial: State, accepting: frozenset) -> Dfa:
+def _completed(alphabet: Alphabet, states: tuple, delta: dict) -> tuple[tuple, dict]:
+    """States and transitions with every missing transition sent to a fresh sink."""
     missing = [(q, s) for q in states for s in alphabet if (q, s) not in delta]
     if missing:
         sink = SINK
@@ -172,7 +174,7 @@ def _completed(alphabet: Alphabet, states: tuple, delta: dict, initial: State, a
             delta[(q, s)] = sink
         for s in alphabet:
             delta[(sink, s)] = sink
-    return Dfa(alphabet, states, delta, initial, accepting)
+    return states, delta
 
 
 def serialize_dfa(a: Dfa) -> str:

@@ -204,6 +204,22 @@ def test_no_module_imports_a_name_it_never_uses():
 
 
 
+def test_every_f_string_has_a_placeholder():
+    # an f prefix without a placeholder is a leftover, or a value that was meant and lost
+    bare = []
+    for path in sorted(Path(realizability.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        specs = {id(node.format_spec) for node in ast.walk(tree) if isinstance(node, ast.FormattedValue)}
+        bare += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.JoinedStr)
+            and id(node) not in specs  # the spec of f"{x:>4}" is an f-string of constants
+            and not any(isinstance(value, ast.FormattedValue) for value in node.values)
+        ]
+    assert bare == []
+
+
 def test_every_private_top_level_name_is_used():
     # a helper that a simplification leaves without callers should go with it
     referenced: set[str] = set()

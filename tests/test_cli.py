@@ -371,6 +371,14 @@ class TestDecideInfinite:
         assert_one_error_line(code, captured)
         assert "overlap at index 1" in captured.err
 
+    def test_unknown_initial_state_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "initial.ea"
+        path.write_text(EFFECTIVE.replace("initial: q0", "initial: q9"))
+        code = main(["decide-infinite", "--effective", str(path)])
+        captured = capsys.readouterr()
+        assert_one_error_line(code, captured)
+        assert captured.err == "error: line 2: missing or unknown initial state\n"
+
     def test_index_below_one_is_a_parse_error(self, files, capsys):
         # no index moves q0 to q1, so the witness scan used to run a million
         # indices before failing; the file is refused at its etrans line

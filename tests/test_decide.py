@@ -8,6 +8,8 @@ import sys
 import pytest
 
 from helpers import BINARY, random_dfa
+import realizability.decide as decide_module
+import realizability.definitive as definitive_module
 from realizability import (
     AlphabetMismatchError,
     Dfa,
@@ -19,6 +21,7 @@ from realizability import (
     brute_force_prefix_check,
     champernowne,
     count_accepted_prefixes,
+    dead_lock_states,
     deadlock_accepting_variant,
     decide_buchi,
     decide_prefix,
@@ -121,6 +124,21 @@ class TestDecidePrefix:
             a = random_dfa(rng, max_states=5)
             assert decide_prefix(a, W) == decide_prefix(a, W, default_fuel(a))
             assert decide_buchi(a, W) == decide_buchi(a, W, default_fuel(deadlock_accepting_variant(a)))
+
+    def test_omitted_fuel_computes_dead_locks_once(self, monkeypatch):
+        # the derived fuel and the kernel share one dead-lock set; Büchi adds the one its variant accepts
+        calls: list[Dfa] = []
+
+        def counted(a: Dfa) -> frozenset:
+            calls.append(a)
+            return dead_lock_states(a)
+
+        for module in (decide_module, definitive_module):
+            monkeypatch.setattr(module, "dead_lock_states", counted)
+        for decide, expected in ((decide_prefix, 1), (decide_buchi, 2)):
+            calls.clear()
+            assert isinstance(decide(counter(3), W), Verdict)
+            assert len(calls) == expected, decide.__name__
 
     def test_omitted_fuel_needs_an_occurrence_bound(self, a_contains1):
         zeros = ultimately_periodic("", "0", alphabet=BINARY)

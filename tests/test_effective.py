@@ -606,10 +606,10 @@ class TestParseEffective:
             ("states: q0 q0\ninitial: q0\n", "line 1: duplicate state names"),
             ("states: q0\ninitial: q0 q1\n", "line 2: initial: expects one state"),
             ("states: q0\ninitial: q0\netrans: q0 q0\n", "line 3: etrans line needs: source target index-set..."),
-            ("states: q0\ninitial: q0\ntrans: q0 q0 all\n", "line 3: unknown section 'trans'"),
+            ("states: q0\ninitial: q0\ntrans: q0 q0 all\n", "line 3: unknown or misplaced section 'trans'"),
             ("states: q0\naccepting: q0\n", "line 1: missing or unknown initial state"),
-            ("states: q0\ninitial: q1\n", "line 1: missing or unknown initial state"),
-            ("states: q0\ninitial: q0\naccepting: q0 q1\n", "line 1: accepting set contains unknown states"),
+            ("states: q0\ninitial: q1\n", "line 2: missing or unknown initial state"),
+            ("states: q0\ninitial: q0\naccepting: q0 q1\n", "line 3: accepting set contains unknown states"),
         ],
     )
     def test_message_and_line(self, text, message):

@@ -15,11 +15,14 @@ import realizability
 from realizability import (
     Alphabet,
     Dfa,
+    EffectiveFormatError,
     FormatError,
     MullerAutomaton,
     equivalent,
     literal_dfa,
     parse_dfa,
+    parse_effective,
+    parse_machines,
     parse_muller,
     parse_nfa,
     relabel_bfs,
@@ -213,6 +216,54 @@ class TestInputErrors:
         a = parse_dfa(text)
         assert a.states == ("_sink", "__sink", "___sink")
         assert a.delta == {("_sink", "0"): "__sink", ("__sink", "0"): "___sink", ("___sink", "0"): "___sink"}
+
+
+class TestErrorLines:
+    """Each parse error of every text format names the line it is about; a missing section says line 1."""
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_dfa, "states: s0\ninitial: s0\n", "line 1: missing 'alphabet' line"),
+            (parse_dfa, "accepting: s9\nalphabet: 0\nstates: s0\ninitial: s0\n", "line 1: unknown accepting state 's9'"),
+            (parse_dfa, "alphabet: 0 1\naccepting: s1\nstates: s0 s1\ninitial: s2\n", "line 4: unknown state 's2'"),
+            (parse_nfa, "initials: s0 s1\nalphabet: 0\nstates: s0\n", "line 1: unknown initial state 's1'"),
+            (
+                parse_muller,
+                "alphabet: 0\nstates: s0\ninitial: s0\nmacro: s0\naccepting: s0\n",
+                "line 5: muller automata use macro: lines, not accepting:",
+            ),
+            (parse_effective, "states: q0\naccepting: q0\ninitial: q1\n", "line 3: missing or unknown initial state"),
+            (parse_effective, "# e\nstates: q0\ninitial: q0\naccepting: q1\n", "line 4: accepting set contains unknown states"),
+            (parse_effective, "states: q0\naccepting: q0\n", "line 1: missing or unknown initial state"),
+            (parse_effective, "initial: q0\n", "line 1: missing states: line"),
+            (parse_effective, "initial: q0\netrans: q0 q0 all\nstates: q0\n", "line 2: unknown state in etrans line"),
+            (parse_effective, "states: q0\ninitial: q0\netrans: q0 q1 all\n", "line 3: unknown state in etrans line"),
+            (parse_machines, "machine: m\ntrans: s _ x R t\nmachine: n\nstart: s\n", "line 1: machine 'm' has no start: line"),
+            (parse_machines, "machine: m\nstart: s\n\nmachine: n\ntrans: s _ x R t\n", "line 4: machine 'n' has no start: line"),
+            (parse_machines, "# intro\nstart: s\nmachine: m\n", "line 2: start: outside machine or malformed"),
+            (parse_machines, "trans: s _ x R t\nmachine: m\nstart: s\n", "line 1: trans: outside machine or malformed"),
+            (parse_machines, "machine: m\nstart: s t\n", "line 2: start: outside machine or malformed"),
+            (parse_machines, "machine: m\nstart: s\nbogus: 1\n", "line 3: unknown or misplaced section 'bogus'"),
+            (parse_machines, "machine: m\nstart: s\nmachine: n\nstart: s\nstart: t\n", "line 5: duplicate 'start' line"),
+            (parse_machines, "machine: m\nstart: s\ntrans: s _ x J t\n", "line 3: move must be one of L R S"),
+        ],
+    )
+    def test_message_and_line(self, parse, text, message):
+        with pytest.raises(FormatError) as err:
+            parse(text)
+        assert type(err.value) is (EffectiveFormatError if parse is parse_effective else FormatError)
+        assert str(err.value) == message
+        assert err.value.line_no == int(message.split(":")[0].removeprefix("line "))
+
+    def test_muller_structure_is_validated_once(self, monkeypatch):
+        calls = []
+        validate = Dfa.__post_init__
+        monkeypatch.setattr(Dfa, "__post_init__", lambda a: calls.append(a) or validate(a))
+        m = parse_muller("alphabet: a b\nstates: q0 q1\ninitial: q0\nmacro: q0\ntrans: q0 a q1\n")
+        assert len(calls) == 1
+        assert m.states == ("q0", "q1", "_sink")
+        assert m.delta[("q1", "b")] == "_sink"
 
 
 class TestCommentEscape:
