@@ -433,8 +433,20 @@ def is_empty(a: Automaton) -> bool:
 
 
 def meets(r: Automaton, d: Dfa) -> bool:
-    """Does L(r) intersect L(d)?  Product emptiness, determinizing ``r`` if needed."""
-    return not is_empty(intersect(as_dfa(r), d))
+    """Does L(r) intersect L(d)?  Determinizes ``r`` if needed, then searches the reachable pairs
+    of the product breadth-first, stopping at the first pair both accept; the product automaton
+    itself is never built."""
+    a = as_dfa(r)
+    if a.alphabet != d.alphabet:
+        raise AlphabetMismatchError("product of automata over different alphabets")
+    da, db, fa, fd = a.delta, d.delta, a.accepting, d.accepting
+    found = shortlex_search(
+        a.alphabet,
+        (a.initial, d.initial),
+        lambda pq: pq[0] in fa and pq[1] in fd,
+        lambda pq, s: (da[pq[0], s], db[pq[1], s]),
+    )
+    return found is not None
 
 
 def equivalent(a: Dfa, b: Dfa) -> bool:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Sequence
 
 from .automata import Alphabet, regex_dfa, render_word
@@ -282,10 +282,21 @@ _SUBCOMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] =
 
 
 def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """Build a fresh parser for one call: only the subparser ``argv[0]`` names, under a metavar
-    that keeps the top-level usage, or else all six (help, no or an unknown subcommand)."""
+    """Parser for one call: only the subparser ``argv[0]`` names, under a metavar that keeps the
+    top-level usage, or else all six (help, no or an unknown subcommand).
+
+    The parser is built on first use and shared by every later call for the same subcommand in
+    the process; callers may parse with it but must not modify it.
+    """
+    return _parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
+
+
+@cache
+def _parser(subcommand: str | None) -> argparse.ArgumentParser:
+    # Reuse is safe: parse_args fills a fresh Namespace from the defaults on each call, and help
+    # and usage read the terminal width (COLUMNS) when they format, not when the parser is built.
     parser = _Parser(prog="realizability", description=__doc__.splitlines()[0])
-    names = argv[:1] if argv and argv[0] in _SUBCOMMANDS else list(_SUBCOMMANDS)
+    names = [subcommand] if subcommand else list(_SUBCOMMANDS)
     metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if len(names) == 1 else None
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
     for name in names:

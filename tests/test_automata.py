@@ -35,7 +35,7 @@ from realizability import (
     with_initial,
     words_upto,
 )
-from realizability.automata import REGEX_NESTING_LIMIT, meets, nfa_of
+from realizability.automata import REGEX_NESTING_LIMIT, as_dfa, meets, nfa_of
 
 
 def brute_language(a, max_len: int) -> set:
@@ -173,10 +173,26 @@ class TestBooleanAlgebra:
 
     def test_meets_matches_pair_graph_search(self):
         rng = random.Random(29)
-        for _ in range(60):
-            d = random_dfa(rng, max_states=4)
-            for r in (random_dfa(rng, max_states=4), random_nfa(rng, max_states=4)):
-                assert meets(r, d) == pair_graph_meets(nfa_of(r), d), (r, d)
+        for alphabet in (BINARY, ABC):
+            seen = set()
+            for i in range(150):
+                # accept_p 0 and 1 draw empty languages and ones accepting ε
+                p = (0.0, 0.5, 1.0)[i % 3]
+                d = random_dfa(rng, max_states=4, alphabet=alphabet, accept_p=rng.choice((0.0, 0.5, 1.0)))
+                for r in (
+                    random_dfa(rng, max_states=4, alphabet=alphabet, accept_p=p),
+                    random_nfa(rng, max_states=4, alphabet=alphabet, accept_p=p),
+                ):
+                    expected = pair_graph_meets(nfa_of(r), d)
+                    assert meets(r, d) == expected == (not is_empty(intersect(as_dfa(r), d))), (r, d)
+                    seen.add(expected)
+            assert seen == {False, True}, alphabet
+
+    def test_meets_rejects_different_alphabets(self, a_contains1):
+        other = random_dfa(random.Random(0), alphabet=ABC)
+        for r in (other, nfa_of(other)):
+            with pytest.raises(AlphabetMismatchError):
+                meets(r, a_contains1)
 
 
 class TestNfaAndDeterminize:

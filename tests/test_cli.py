@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import sys
 import time
 from pathlib import Path
@@ -20,6 +21,7 @@ from realizability import (
     universal_indexed_word,
     zero_one_blocks,
 )
+from realizability import cli
 from realizability.cli import DUMP_LIMIT, THEOREM1_STAGE_LIMIT, main
 
 CONTAINS1 = """\
@@ -768,3 +770,77 @@ def test_regex_errors_are_byte_identical(tmp_path_factory, capsys):
         code = main(resolved(root, case["argv"]))
         captured = capsys.readouterr()
         assert (captured.out, captured.err, code) == (case["stdout"], case["stderr"], case["code"]), case["argv"]
+
+
+def outputs(argv: list[str], capsys) -> tuple[str, str, int]:
+    code = main(argv)
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code
+
+
+class TestParserReuse:
+    """One parser per subcommand serves every call in the process: the
+    recorded calls must give the same output whatever ran before them."""
+
+    def test_replay_in_order_then_shuffled_matches_the_record(self, tmp_path_factory, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        calls = [(case["argv"], case, False) for case in USAGE_CASES]
+        for fixture in (DECIDE_FIXTURE, RR_FIXTURE, THEOREM1_FIXTURE, REGEX_ERRORS_FIXTURE):
+            root = written(tmp_path_factory, fixture)
+            calls += [(resolved(root, case["argv"]), case, fixture is RR_FIXTURE) for case in fixture["cases"]]
+        cli._parser.cache_clear()
+        first = []
+        for argv, case, rr in calls:
+            first.append(outputs(argv, capsys))
+            out, err, code = first[-1]
+            assert (out, code) == (case["stdout"], case["code"]), argv
+            if rr:  # recorded before the reduction shrank; its language must hold
+                assert equivalent(parse_dfa(err), read_reduction(case["stderr"])), argv
+            else:
+                assert err == case["stderr"], argv
+        order = list(range(len(calls)))
+        random.Random(2207).shuffle(order)
+        for i in order:
+            assert outputs(calls[i][0], capsys) == first[i], calls[i][0]
+
+    def test_help_reads_the_width_when_it_formats(self, monkeypatch, capsys):
+        argvs = [case["argv"] for case in USAGE_CASES]
+        recorded = [(case["stdout"], case["stderr"], case["code"]) for case in USAGE_CASES]
+        monkeypatch.setenv("COLUMNS", "80")
+        cli._parser.cache_clear()
+        for argv in argvs:
+            outputs(argv, capsys)
+        for width in ("40", "200", "80"):
+            monkeypatch.setenv("COLUMNS", width)
+            reused = [outputs(argv, capsys) for argv in argvs]  # parsers built under the last width
+            cli._parser.cache_clear()
+            assert reused == [outputs(argv, capsys) for argv in argvs], width
+            assert (reused == recorded) == (width == "80"), width  # the width reaches the help text
+
+    def test_flags_of_one_call_do_not_reach_the_next(self, files, capsys):
+        path = files["buchi-fuel.ea"]
+        cli._parser.cache_clear()
+        assert outputs(["decide-infinite", "--effective", path, "--buchi", "--fuel", "5"], capsys) == (
+            "ANSWER=FuelExhausted EVIDENCE=5\n",
+            "",
+            2,
+        )
+        assert outputs(["decide-infinite", "--effective", path], capsys) == ("ANSWER=Yes EVIDENCE=0\n", "", 0)
+
+    def test_each_subcommand_parser_is_built_once(self, files, monkeypatch, capsys):
+        help_line, add_arguments = cli._SUBCOMMANDS["definitive"]
+        builds = []
+
+        def counting(p):
+            builds.append(p)
+            add_arguments(p)
+
+        monkeypatch.setitem(cli._SUBCOMMANDS, "definitive", (help_line, counting))
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert main(["definitive", files["contains1.aut"]]) == 0
+        finally:
+            cli._parser.cache_clear()  # drop the parser built by the counting adder
+        assert len(builds) == 1
+        assert capsys.readouterr().out == "DEFINITIVE=1\n" * 3
