@@ -515,9 +515,7 @@ def regex_dfa(pattern: str, alphabet: Alphabet) -> Dfa:
 
     def parse_atom() -> Node:
         nonlocal depth
-        c = peek()
-        if c is None:
-            raise ValueError(f"regex {pattern!r}: unexpected end of pattern")
+        c = peek()  # reached only from parse_term's loop, so c is not None, '|' or ')'
         if c == "(":
             if depth == REGEX_NESTING_LIMIT:
                 raise ValueError(
@@ -531,7 +529,7 @@ def regex_dfa(pattern: str, alphabet: Alphabet) -> Dfa:
             take()
             depth -= 1
             return inner
-        if c in ("*", "+", "?", ")"):
+        if c in ("*", "+", "?"):
             raise ValueError(f"regex {pattern!r}: unexpected {c!r} at position {pos}")
         if c != "." and c not in alphabet:
             raise ValueError(f"regex {pattern!r}: {c!r} is not an alphabet symbol")

@@ -89,11 +89,14 @@ class FilterLanguage:
     @classmethod
     def from_dfa(cls, d: Dfa) -> "FilterLanguage":
         """Regular filter: shortlex enumeration, product-emptiness rr decider."""
-        # L is infinite iff it has a word of length >= |Q|; a finite L is scanned
-        # only that far, so enumeration past its end fails loudly.
-        pump = len(d.states)
-        finite = not meets(_min_length_dfa(d.alphabet, pump), d)
-        scan = filter(d.accepts, words_upto(d.alphabet, pump if finite else sys.maxsize))
+        # L is infinite iff it has a word of length >= |Q|, searched over pairs (state, length
+        # capped at |Q|); a finite L is scanned only that far, so enumeration past its end fails loudly.
+        pump, delta, accepting = len(d.states), d.delta, d.accepting
+        long_word = shortlex_search(
+            d.alphabet, (d.initial, 0), lambda qn: qn[1] == pump and qn[0] in accepting,
+            lambda qn, s: (delta[qn[0], s], min(qn[1] + 1, pump)),
+        )
+        scan = filter(d.accepts, words_upto(d.alphabet, pump if long_word is None else sys.maxsize))
         cache: list[Word] = []
 
         def enumeration(i: int) -> Word:
@@ -105,13 +108,6 @@ class FilterLanguage:
             return cache[i - 1]
 
         return cls(d.alphabet, lambda w: d.accepts(as_word(w)), enumeration, lambda r: meets(r, d))
-
-
-def _min_length_dfa(alphabet: Alphabet, n: int) -> Dfa:
-    """Automaton for 'length at least n'."""
-    states = tuple(range(n + 1))
-    delta = {(i, s): min(i + 1, n) for i in states for s in alphabet}
-    return Dfa(alphabet, states, delta, 0, frozenset({n}))
 
 
 def filter_to_word(

@@ -186,8 +186,6 @@ def _cmd_definitive(args: argparse.Namespace) -> int:
 def _cmd_decide(args: argparse.Namespace) -> int:
     a = parse_dfa(_read(args.automaton))
     w = _build_generator(args)
-    if isinstance(w, IndexedInfiniteWord):
-        raise ValueError("this generator yields symbol indices; use decide-infinite")
     if args.fuel is None and not args.buchi and isinstance(w, Theorem1Word):
         # The diagonal word settles prefix questions at a known stage: no fuel needed.
         if a.alphabet == BINARY and (stage := encode_dfa(a)) > THEOREM1_STAGE_LIMIT:

@@ -176,9 +176,10 @@ def decide_prefix(
     ``on_step(position, state)`` is called for position 0 (initial state)
     and after every symbol read, before the verdict checks.
     """
+    explicit = Fuel.of(fuel) if fuel is not None else None  # a bad budget is reported first
+    _check_same_alphabet(a, w)  # then a mismatch, before any work on the automaton
     dead = dead_lock_states(a)
-    fuel = Fuel.of(fuel) if fuel is not None else _occurrence_fuel(w, _definitive_word(a, dead))
-    _check_same_alphabet(a, w)
+    fuel = explicit or _occurrence_fuel(w, _definitive_word(a, dead))
     return _resolve(a.step, a.initial, _stretch(w, fuel), a.accepting, dead, on_step)
 
 

@@ -28,6 +28,7 @@ from typing import Callable, NamedTuple
 
 from .automata import (
     Alphabet,
+    AlphabetMismatchError,
     Automaton,
     Dfa,
     State,
@@ -37,6 +38,7 @@ from .automata import (
     as_dfa,
     explore,
     meets,
+    regex_dfa,
     shortlex_search,
 )
 from .decide import Fuel, Outcome, _negated, _occurrence_fuel, _resolve, _stretch
@@ -428,54 +430,19 @@ def zero_one_runs() -> EffectiveMorphism:
         half, odd = divmod(k, 2)
         return ("1",) * half if odd else ("0",) * half
 
-    # automaton for 00* | 1*
-    states = ("e", "z", "o", "x")
-    delta = {
-        ("e", "0"): "z",
-        ("e", "1"): "o",
-        ("z", "0"): "z",
-        ("z", "1"): "x",
-        ("o", "0"): "x",
-        ("o", "1"): "o",
-        ("x", "0"): "x",
-        ("x", "1"): "x",
-    }
-    image_set = Dfa(_BINARY, states, delta, "e", frozenset({"e", "z", "o"}))
+    image_set = regex_dfa("00*|1*", _BINARY)
     return EffectiveMorphism(_BINARY, image, lambda r: meets(r, image_set))
-
-
-def _balanced_block_intersects(r: Dfa) -> bool:
-    """Does L(r) contain some 0^k 1^k with k >= 1?
-
-    The pair (state after 0^k, k-fold composition of the 1-step map) evolves
-    by one deterministic function of itself, so it is eventually periodic;
-    scanning k until the pair repeats covers all distinct acceptance
-    behaviours.
-    """
-    zero_step = {q: r.delta[(q, "0")] for q in r.states}
-    one_step = {q: r.delta[(q, "1")] for q in r.states}
-    u = r.initial
-    ones_power = {q: q for q in r.states}  # identity
-    seen = set()
-    k = 0
-    while True:
-        k += 1
-        u = zero_step[u]
-        ones_power = {q: one_step[ones_power[q]] for q in r.states}
-        pair = (u, tuple(ones_power[q] for q in r.states))
-        if pair in seen:
-            return False
-        seen.add(pair)
-        if ones_power[u] in r.accepting:
-            return True
 
 
 def zero_one_blocks() -> EffectiveMorphism:
     """Even index 2k maps to 0^k 1^k, odd index 2k+1 maps to 1^k.
 
-    The image set {0^k 1^k : k >= 1} union 1* is not regular, so the oracle
-    combines a regular check for the 1* part with exact eventually-periodic
-    analysis for the balanced part.
+    The image set {0^k 1^k : k >= 1} union 1* is not regular.  The oracle
+    walks the orbit, from k = 0, of the pair (state after 0^k, k-fold power
+    of the 1-step map); the pair evolves by one deterministic function of
+    itself, so the orbit is finite and covers every k.  A pair answers Yes
+    when its power maps the state after 0^k into F (the word 0^k 1^k) or
+    maps the initial state into F (the word 1^k).
     """
 
     def image(k: int) -> Word:
@@ -484,17 +451,19 @@ def zero_one_blocks() -> EffectiveMorphism:
         half, odd = divmod(k, 2)
         return ("1",) * half if odd else ("0",) * half + ("1",) * half
 
-    # 1* as a 2-state automaton
-    ones_star_delta = {
-        ("a", "0"): "x",
-        ("a", "1"): "a",
-        ("x", "0"): "x",
-        ("x", "1"): "x",
-    }
-    ones_star = Dfa(_BINARY, ("a", "x"), ones_star_delta, "a", frozenset({"a"}))
-
     def oracle(r: Automaton) -> bool:
         d = as_dfa(r)
-        return meets(d, ones_star) or _balanced_block_intersects(d)
+        if d.alphabet != _BINARY:
+            raise AlphabetMismatchError("product of automata over different alphabets")
+        delta, accepting = d.delta, d.accepting
+        position = {q: i for i, q in enumerate(d.states)}
+        initial = position[d.initial]
+
+        def successors(pair: tuple[State, tuple[State, ...]]) -> list:
+            u, ones = pair  # ones[i] is the state 1^k leads d.states[i] to
+            return [(delta[u, "0"], tuple(delta[q, "1"] for q in ones))]
+
+        orbit = _reach([(d.initial, d.states)], successors)
+        return any(ones[position[u]] in accepting or ones[initial] in accepting for u, ones in orbit)
 
     return EffectiveMorphism(_BINARY, image, oracle)

@@ -24,7 +24,7 @@ from itertools import chain, compress, count, islice, product, repeat
 from operator import contains
 from typing import Callable, Iterable, Iterator
 
-from .automata import Alphabet, Automaton, Symbol, Word, _check_word, as_word, literal_dfa, meets, union
+from .automata import Alphabet, AlphabetMismatchError, Automaton, Symbol, Word, _check_word, as_word
 
 FACTOR_UNIVERSAL = "factor-universal"
 UNKNOWN = "unknown"
@@ -164,8 +164,9 @@ class EffectiveMorphism:
 
     @classmethod
     def index_periodic(cls, images: Iterable[Word | str], alphabet: Alphabet) -> "EffectiveMorphism":
-        """Images cycle through a finite list by index residue; oracle included."""
-        fixed = tuple(as_word(w) for w in images)
+        """Images cycle through a finite list by index residue, each checked against the alphabet here;
+        the image set is that list, so the oracle asks the automaton to accept one of them."""
+        fixed = tuple(_check_word(alphabet, as_word(w)) for w in images)
         if not fixed:
             raise ValueError("need at least one image")
 
@@ -174,12 +175,12 @@ class EffectiveMorphism:
                 raise IndexError("indices are 1-based")
             return fixed[(k - 1) % len(fixed)]
 
-        image_set = None
-        for w in set(fixed):
-            d = literal_dfa(w, alphabet)
-            image_set = d if image_set is None else union(image_set, d)
+        def oracle(r: Automaton) -> bool:
+            if r.alphabet != alphabet:
+                raise AlphabetMismatchError("product of automata over different alphabets")
+            return any(map(r.accepts, fixed))
 
-        return cls(alphabet, image, lambda r: meets(r, image_set))
+        return cls(alphabet, image, oracle)
 
 
 def champernowne(alphabet: Alphabet) -> InfiniteWord:
@@ -239,10 +240,7 @@ def _universal_round_words(n: int) -> Iterator[tuple[int, ...]]:
 
 def universal_round_length(n: int) -> int:
     """Number of symbols contributed by round n (closed form, no generation)."""
-    total = n * n**n
-    for length in range(1, n):
-        total += length * (n**length - (n - 1) ** length)
-    return total
+    return universal_round_end(n) - universal_round_end(n - 1)
 
 
 def universal_round_end(r: int) -> int:

@@ -1,8 +1,10 @@
-"""Seeded random generators shared by the test modules."""
+"""Seeded random generators and the raise probe shared by the test modules."""
 
 from __future__ import annotations
 
 import random
+
+import pytest
 
 from realizability import Alphabet, Dfa, Nfa, Word
 
@@ -48,3 +50,10 @@ def random_nfa(
 def random_word(rng: random.Random, alphabet: Alphabet, max_len: int, min_len: int = 0) -> Word:
     n = rng.randint(min_len, max_len)
     return tuple(rng.choice(alphabet.symbols) for _ in range(n))
+
+
+def failure(read) -> tuple[type, str]:
+    """The type and message of the exception that ``read()`` raises."""
+    with pytest.raises(Exception) as info:
+        read()
+    return info.type, str(info.value)

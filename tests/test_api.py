@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -202,6 +203,20 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
 
+
+def test_the_library_imports_only_the_standard_library():
+    # the package is stdlib-only: every import is relative or names a standard module
+    foreign = []
+    for path in sorted(Path(realizability.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []
 
 
 def test_every_f_string_has_a_placeholder():

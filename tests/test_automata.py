@@ -7,7 +7,7 @@ import re as _re
 
 import pytest
 
-from helpers import ABC, BINARY, random_dfa, random_nfa, random_word
+from helpers import ABC, BINARY, failure, random_dfa, random_nfa, random_word
 from realizability import (
     Alphabet,
     AlphabetMismatchError,
@@ -328,3 +328,53 @@ class TestRegex:
             regex_dfa("(01", BINARY)
         with pytest.raises(ValueError):
             regex_dfa("*", BINARY)
+
+
+ONE_STATE = Dfa(BINARY, ("a",), {("a", "0"): "a", ("a", "1"): "a"}, "a", frozenset())
+NO_STATES = frozenset()
+
+# Raises that no other test reaches, each with its type and full message.
+REACHABLE_RAISES = {
+    "dfa duplicate states": (
+        lambda: Dfa(BINARY, ("a", "a"), ONE_STATE.delta, "a", NO_STATES), ValueError, "duplicate states"
+    ),
+    "dfa unknown target": (
+        lambda: Dfa(BINARY, ("a",), {("a", "0"): "a", ("a", "1"): "b"}, "a", NO_STATES),
+        ValueError,
+        "transition ('a', '1') leads to unknown state 'b'",
+    ),
+    "nfa duplicate states": (lambda: Nfa(BINARY, ("a", "a"), NO_STATES, NO_STATES, NO_STATES), ValueError, "duplicate states"),
+    "nfa unknown initial": (
+        lambda: Nfa(BINARY, ("a",), NO_STATES, frozenset({"b"}), NO_STATES), ValueError, "initial set contains unknown states"
+    ),
+    "nfa unknown accepting": (
+        lambda: Nfa(BINARY, ("a",), NO_STATES, NO_STATES, frozenset({"b"})), ValueError, "accepting set contains unknown states"
+    ),
+    "nfa unknown state": (
+        lambda: Nfa(BINARY, ("a",), frozenset({("a", "0", "b")}), NO_STATES, NO_STATES),
+        ValueError,
+        "transition ('a', '0', 'b') uses unknown states",
+    ),
+    "nfa unknown symbol": (
+        lambda: Nfa(BINARY, ("a",), frozenset({("a", "2", "a")}), NO_STATES, NO_STATES),
+        ValueError,
+        "transition symbol '2' not in alphabet",
+    ),
+    "nfa step off the alphabet": (
+        lambda: nfa_of(ONE_STATE).step_set(frozenset({"a"}), "2"),
+        AlphabetMismatchError,
+        "symbol '2' not in alphabet ('0', '1')",
+    ),
+    "unknown initial": (lambda: with_initial(ONE_STATE, "b"), ValueError, "state 'b' not among states"),
+    "concatenation": (
+        lambda: concatenate(ONE_STATE, sigma_star(ABC)),
+        AlphabetMismatchError,
+        "concatenation of automata over different alphabets",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REACHABLE_RAISES.values(), ids=REACHABLE_RAISES)
+def test_reachable_raise(case):
+    build, *error = case
+    assert failure(build) == tuple(error)

@@ -11,7 +11,7 @@ from itertools import islice
 import pytest
 
 from conftest import MACHINES_TEXT
-from helpers import ABC, BINARY, random_dfa
+from helpers import ABC, BINARY, failure, random_dfa
 from realizability import (
     Alphabet,
     AlphabetMismatchError,
@@ -51,6 +51,7 @@ from realizability import (
     with_initial,
     words_upto,
 )
+from realizability.automata import meets
 from realizability.bridge import Stage, _BlockRows, _decode_table, _patch_word
 
 
@@ -70,6 +71,13 @@ def table_of(a: Dfa) -> tuple[list[tuple[int, int]], frozenset[int]]:
     index = {q: j for j, q in enumerate(a.states)}
     table = [tuple(index[a.delta[q, sym]] for sym in BINARY) for q in a.states]
     return table, frozenset(index[q] for q in a.accepting)
+
+
+def _min_length_dfa(alphabet: Alphabet, n: int) -> Dfa:
+    """Automaton for 'length at least n'."""
+    states = tuple(range(n + 1))
+    delta = {(i, s): min(i + 1, n) for i in states for s in alphabet}
+    return Dfa(alphabet, states, delta, 0, frozenset({n}))
 
 
 class TestFilterLanguage:
@@ -123,6 +131,24 @@ class TestFilterLanguage:
         assert [lang.enumeration(i) for i in (4, 1)] == [("1", "1"), ()]
         with pytest.raises(IndexError, match="^language is finite with 4 words$"):
             lang.enumeration(5)
+
+    @pytest.mark.parametrize("alphabet, max_states", [(BINARY, 4), (ABC, 3)])
+    def test_finiteness_matches_a_length_automaton(self, alphabet, max_states):
+        # a finite language enumerates its words through length |Q| and then fails;
+        # an infinite one goes on past them to a word longer than |Q|
+        rng = random.Random(457)
+        for _ in range(150):
+            d = random_dfa(rng, max_states=max_states, alphabet=alphabet, accept_p=0.3)
+            pump = len(d.states)
+            count = sum(map(d.accepts, words_upto(alphabet, pump)))
+            lang = FilterLanguage.from_dfa(d)
+            if meets(_min_length_dfa(alphabet, pump), d):
+                assert len(lang.enumeration(count + 1)) > pump, d
+            else:
+                assert failure(lambda: lang.enumeration(count + 1)) == (
+                    IndexError,
+                    f"language is finite with {count} words",
+                ), d
 
     def test_rr_decider(self):
         lang = FilterLanguage.from_dfa(regex_dfa("0+", BINARY))
@@ -705,3 +731,22 @@ class TestDecideTheorem1:
         generic = decide_prefix(a_contains1, w, Fuel(100))
         tailored = decide_prefix_theorem1(a_contains1, machine_list, word=w)
         assert generic == Verdict(tailored.answer, tailored.evidence, tailored.steps_used)
+
+
+def _oracle_without_rr():
+    lang = FilterLanguage(BINARY, lambda w: True, lambda i: ("0",) * i)
+    phi, _ = filter_to_word(lang)
+    return phi.image_language_oracle(rr_to_prefix(literal_dfa("0", BINARY)))
+
+
+# Raises that no other test reaches, each with its type and full message.
+REACHABLE_RAISES = {
+    "no rr decider": (_oracle_without_rr, ValueError, "filter language carries no rr decider"),
+    "machine 0": (lambda: MachineList([]).halts_within(0, 1), IndexError, "machine indices are 1-based"),
+}
+
+
+@pytest.mark.parametrize("case", REACHABLE_RAISES.values(), ids=REACHABLE_RAISES)
+def test_reachable_raise(case):
+    read, *error = case
+    assert failure(read) == tuple(error)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from helpers import BINARY, random_dfa
+from helpers import ABC, BINARY, failure, random_dfa
 import realizability.decide as decide_module
 import realizability.definitive as definitive_module
 from realizability import (
@@ -60,6 +60,16 @@ class TestFuel:
 
 
 class TestDecidePrefix:
+    def test_an_alphabet_mismatch_is_reported_before_any_work(self, monkeypatch, a_contains1):
+        calls = []
+        monkeypatch.setattr(decide_module, "dead_lock_states", lambda a: calls.append(a) or dead_lock_states(a))
+        abc = champernowne(ABC)
+        mismatch = (AlphabetMismatchError, "automaton alphabet ('0', '1') differs from word alphabet ('a', 'b', 'c')")
+        for fuel in (None, 7):
+            assert failure(lambda: decide_prefix(a_contains1, abc, fuel)) == mismatch
+        assert calls == []
+        assert failure(lambda: decide_prefix(a_contains1, abc, 0)) == (ValueError, "fuel must be positive")
+
     def test_yes_with_evidence(self, a_contains1):
         # W starts "01...": the first 1 appears at position 2
         assert decide_prefix(a_contains1, W, 100) == Verdict("Yes", 2, 2)

@@ -11,9 +11,10 @@ from collections import deque
 import pytest
 
 import realizability.effective as effective_module
-from helpers import BINARY, random_dfa
+from helpers import BINARY, failure, random_dfa, random_nfa
 from realizability import (
     Alphabet,
+    AlphabetMismatchError,
     AugmentedState,
     Dfa,
     EffectiveAutomaton,
@@ -709,22 +710,82 @@ class TestZeroOneBlocks:
         assert phi.image(4) == ("0", "0", "1", "1")
         assert phi.image(5) == ("1", "1")
 
-    def test_oracle_agrees_with_brute_image_scan(self):
-        rng = random.Random(439)
-        phi = zero_one_blocks()
-        oracle = phi.image_language_oracle
-        assert oracle is not None
-        for _ in range(40):
-            a = random_dfa(rng, max_states=3)
-            brute = any(a.accepts(phi.image(k)) for k in range(1, 1101))
-            assert oracle(a) == brute, a
 
-    def test_runs_oracle_agrees_with_brute_image_scan(self):
-        rng = random.Random(443)
-        phi = zero_one_runs()
-        oracle = phi.image_language_oracle
-        assert oracle is not None
+BUILTIN_MORPHISMS = {
+    "runs": zero_one_runs,
+    "blocks": zero_one_blocks,
+    "cyclic": lambda: EffectiveMorphism.index_periodic(["01", "1", "", "0110", "01"], BINARY),
+}
+
+
+def brute_meets(phi: EffectiveMorphism, a: Dfa, indices: int) -> bool:
+    return any(a.accepts(phi.image(k)) for k in range(1, indices + 1))
+
+
+class TestBuiltinOracles:
+    # On an automaton of m states the blocks oracle's pair (state after 0^k, k-th power of
+    # the 1-step map) repeats by k = (m - 1) + m * g(m), g(m) the longest period of a map on
+    # m states: k = 41 for m = 6 and 127 for m = 8, so indices through 2k + 1 see every answer.
+    @pytest.mark.parametrize("name", BUILTIN_MORPHISMS)
+    def test_dfas_agree_with_a_brute_image_scan(self, name):
+        rng = random.Random(461)
+        phi = BUILTIN_MORPHISMS[name]()
+        for _ in range(150):
+            a = random_dfa(rng, max_states=6, accept_p=0.25)
+            assert phi.image_language_oracle(a) == brute_meets(phi, a, 83), a
+
+    @pytest.mark.parametrize("name", BUILTIN_MORPHISMS)
+    def test_nfas_agree_with_a_brute_image_scan(self, name):
+        # the scan reads the subset automaton, at most 8 states for 3 NFA states
+        rng = random.Random(463)
+        phi = BUILTIN_MORPHISMS[name]()
         for _ in range(40):
-            a = random_dfa(rng, max_states=3)
-            brute = any(a.accepts(phi.image(k)) for k in range(1, 1101))
-            assert oracle(a) == brute, a
+            n = random_nfa(rng, max_states=3)
+            assert phi.image_language_oracle(n) == brute_meets(phi, determinize(n), 255), n
+
+    @pytest.mark.parametrize("name", BUILTIN_MORPHISMS)
+    @pytest.mark.parametrize("symbols", ["abc", "012"])
+    def test_an_automaton_over_another_alphabet_raises(self, name, symbols):
+        oracle = BUILTIN_MORPHISMS[name]().image_language_oracle
+        rng = random.Random(467)
+        other = Alphabet(tuple(symbols))
+        for a in (random_dfa(rng, max_states=3, alphabet=other), random_nfa(rng, max_states=3, alphabet=other)):
+            assert failure(lambda: oracle(a)) == (
+                AlphabetMismatchError,
+                "product of automata over different alphabets",
+            )
+
+    def test_periodic_images_are_checked_at_construction(self):
+        assert failure(lambda: EffectiveMorphism.index_periodic(["2"], BINARY)) == (
+            AlphabetMismatchError,
+            "symbol '2' not in alphabet ('0', '1')",
+        )
+
+
+def _witness_past_the_limit():
+    ea = EffectiveAutomaton(("p", "q"), lambda k, p: p, lambda p, q: True, "p", frozenset())
+    return find_transition_witness(ea, "p", "q", search_limit=3)
+
+
+# Raises that no other test reaches, each with its type and full message.
+REACHABLE_RAISES = {
+    "unknown accepting": (
+        lambda: EffectiveAutomaton(("q",), lambda k, q: q, lambda p, q: True, "q", frozenset({"x"})),
+        ValueError,
+        "accepting set contains unknown states",
+    ),
+    "witness limit": (_witness_past_the_limit, RuntimeError, "no witness index below 3 for 'p' -> 'q'"),
+    "rule index 0": (
+        lambda: effective_from_index_sets(("q",), {"q": [(IndexSet(((0, 1),)), "q")]}, "q", frozenset()).delta(0, "q"),
+        IndexError,
+        "indices are 1-based",
+    ),
+    "runs image 0": (lambda: zero_one_runs().image(0), IndexError, "indices are 1-based"),
+    "blocks image 0": (lambda: zero_one_blocks().image(0), IndexError, "indices are 1-based"),
+}
+
+
+@pytest.mark.parametrize("case", REACHABLE_RAISES.values(), ids=REACHABLE_RAISES)
+def test_reachable_raise(case):
+    read, *error = case
+    assert failure(read) == tuple(error)

@@ -11,7 +11,7 @@ from itertools import chain, count, islice, product, repeat
 import pytest
 
 from conftest import MACHINES_TEXT
-from helpers import ABC, BINARY, random_word
+from helpers import ABC, BINARY, failure, random_word
 from realizability import (
     FACTOR_UNIVERSAL,
     Alphabet,
@@ -175,6 +175,15 @@ def filtered_round_words(n: int):
                 yield tup
 
 
+def summed_round_length(n: int) -> int:
+    """Symbols of round n summed by word length: n**n words of length n, and
+    of each shorter length l the n**l - (n-1)**l words that use index n."""
+    total = n * n**n
+    for length in range(1, n):
+        total += length * (n**length - (n - 1) ** length)
+    return total
+
+
 def symbolwise_image(phi: EffectiveMorphism, w, stall_limit: int = 100_000) -> InfiniteWord:
     """The earlier ``apply_morphism``: one image per index read, erasures counted as read."""
 
@@ -237,8 +246,17 @@ class TestUniversalIndexedWord:
         total = 0
         assert universal_round_end(0) == 0
         for r in range(1, 41):
-            total += universal_round_length(r)
+            total += summed_round_length(r)
             assert universal_round_end(r) == total, r
+
+    def test_round_length_matches_the_sum_over_word_lengths(self):
+        for n in range(41):
+            assert universal_round_length(n) == summed_round_length(n), n
+
+    @pytest.mark.parametrize("n", range(-3, 1))
+    def test_round_length_is_the_int_zero_up_to_round_zero(self, n):
+        length = universal_round_length(n)
+        assert type(length) is int and length == 0
 
     def test_declared_factor_universal(self):
         assert universal_indexed_word().universality == FACTOR_UNIVERSAL
@@ -512,13 +530,6 @@ class TestSliceBuffer:
 # The buffer keeps what its source produced and the exception that stopped it
 
 
-def failure(read) -> tuple[type, str]:
-    """The type and message of the exception that ``read()`` raises."""
-    with pytest.raises(Exception) as info:
-        read()
-    return info.type, str(info.value)
-
-
 def stalling() -> InfiniteWord:
     """Index 2 maps to "0", index 1 erases: the third erasing 1 stalls at position 2."""
     return apply_morphism(zero_one_runs(), indexed_periodic((2, 1, 1, 1)), stall_limit=2)
@@ -601,3 +612,19 @@ class TestSourceFailure:
         assert failure(lambda: w.ensure_stage(3)) == failure(lambda: w.ensure_stage(3)) == failed
         assert failure(lambda: w.prefix(end + 1)) == failure(lambda: list(w.iter_from(1))) == failed
         assert tuple(islice(w.iter_from(1), end)) == w.prefix(end)
+
+
+# Raises that no other test reaches, each with its type and full message.
+REACHABLE_RAISES = {
+    "no source": (lambda: InfiniteWord(BINARY), ValueError, "exactly one of source/index_fn is required"),
+    "position 0": (lambda: champernowne(BINARY).symbol_at(0), IndexError, "positions are 1-based"),
+    "no images": (lambda: EffectiveMorphism.index_periodic([], BINARY), ValueError, "need at least one image"),
+    "image 0": (lambda: EffectiveMorphism.index_periodic(["0"], BINARY).image(0), IndexError, "indices are 1-based"),
+    "bound of index 0": (lambda: universal_indexed_word().occurrence_bound((1, 0)), IndexError, "indices are 1-based"),
+}
+
+
+@pytest.mark.parametrize("case", REACHABLE_RAISES.values(), ids=REACHABLE_RAISES)
+def test_reachable_raise(case):
+    read, *error = case
+    assert failure(read) == tuple(error)
