@@ -180,7 +180,8 @@ def prefix_via_rr(
     separator is the symbol of ``a``'s alphabet that the filter alphabet lacks
     (``#`` when there is none, which fails as an alphabet mismatch); the
     default fuel is derived from a definitive index sequence, so the call is
-    total (on No instances the initial dead-lock check already answers).
+    total; on No instances the run's first question, whether the initial
+    state is a dead-lock, already answers.
     """
     separator = next((s for s in a.alphabet if s not in lang.alphabet), "#")
     phi, _image = filter_to_word(lang, separator)
@@ -615,7 +616,7 @@ def decide_prefix_theorem1(
             start = end
 
     symbols = chain.from_iterable(stages())
-    outcome = _resolve(a.step, a.initial, symbols, a.accepting, dead_lock_states(a), on_step)
+    outcome = _resolve(a.step, a.initial, symbols, a.accepting, dead_lock_states(a).__contains__, on_step)
     if isinstance(outcome, FuelExhausted):  # the run read the word through the index's stage
         return Verdict(NO, outcome.steps_used, outcome.steps_used)
     return outcome

@@ -10,8 +10,10 @@ per state visited, keyed by symbol, holding the successor's row and built
 on first use, so each step is one dict lookup.  The accepted-prefix count
 and the brute-force scan step the same rows.  Against a
 factor-universal word both resolutions arrive no later than the occurrence
-bound of a definitive word of the automaton that is stepped; with
-``fuel=None`` every decider runs to that bound, so it is total.
+bound of a definitive word of the automaton that is stepped.  With
+``fuel=None`` every decider is total: it reads the first ``_WINDOW`` symbols
+without a bound, and only a run that reads past them derives that bound and
+runs on to it.
 
 ``decide_buchi`` answers whether infinitely many prefixes are in the
 language: it runs the prefix decider on the variant automaton whose
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator
 
 from .automata import AlphabetMismatchError, Dfa, State, dead_lock_states
@@ -34,6 +36,8 @@ from .words import IndexedInfiniteWord, InfiniteWord
 
 YES = "Yes"
 NO = "No"
+
+_WINDOW = 4096  # symbols a fuel-free run reads before it derives its occurrence bound
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,14 @@ def _check_same_alphabet(a: Dfa, w: InfiniteWord) -> None:
         )
 
 
+def _checked_fuel(a: Dfa, w: InfiniteWord, fuel: Fuel | int | None) -> Fuel | None:
+    """The explicit budget or None; a bad budget is reported first, then a
+    mismatch, both before any work on the automaton."""
+    explicit = Fuel.of(fuel) if fuel is not None else None
+    _check_same_alphabet(a, w)
+    return explicit
+
+
 def _occurrence_fuel(w: InfiniteWord | IndexedInfiniteWord, word: tuple) -> Fuel:
     """Fuel that resolves the run along ``w`` of any automaton that has ``word`` as a definitive word."""
     if w.occurrence_bound is None:
@@ -91,17 +103,17 @@ def _occurrence_fuel(w: InfiniteWord | IndexedInfiniteWord, word: tuple) -> Fuel
 
 class _Rows(dict):
     """One run's rows by state.  ``row(q)`` builds the row of a state on its
-    first visit; its ``code`` is 1 if accepting, else 2 if a dead-lock, else 0."""
+    first visit; its ``code`` is 1 if accepting, else 2 if ``is_dead(q)``, else 0."""
 
-    __slots__ = ("successor", "accepting", "dead")
+    __slots__ = ("successor", "accepting", "is_dead")
 
-    def __init__(self, successor: Callable[[State, object], State], accepting: frozenset, dead: frozenset):
-        self.successor, self.accepting, self.dead = successor, accepting, dead
+    def __init__(self, successor: Callable[[State, object], State], accepting: frozenset, is_dead: Callable):
+        self.successor, self.accepting, self.is_dead = successor, accepting, is_dead
 
     def row(self, q: State) -> "_Row":
         row = self[q] = _Row()
         row.state, row.rows = q, self
-        row.code = 1 if q in self.accepting else 2 if q in self.dead else 0
+        row.code = 1 if q in self.accepting else 2 if self.is_dead(q) else 0
         return row
 
 
@@ -124,18 +136,18 @@ def _resolve(
     q: State,
     symbols: Iterable,
     accepting: frozenset[State],
-    dead: frozenset[State],
+    is_dead: Callable[[State], bool],
     on_step: Callable[[int, State], None] | None = None,
 ) -> Outcome:
     """Run from ``q`` along ``symbols`` until accept, dead-lock, or their end.
 
     ``successor(state, symbol)`` is the next state; each transition taken
-    is asked for once.  ``on_step(position, state)`` is called for position
-    0 (the start state) and after every symbol read, before the verdict
-    checks.  Running out of symbols is reported as ``FuelExhausted`` with
-    the number read.
+    is asked for once, and ``is_dead`` once per state, on its first visit.
+    ``on_step(position, state)`` is called for position 0 (the start state)
+    and after every symbol read, before the verdict checks.  Running out of
+    symbols is reported as ``FuelExhausted`` with the number read.
     """
-    row = _Rows(successor, accepting, dead).row(q)
+    row = _Rows(successor, accepting, is_dead).row(q)
     if on_step is not None:
         on_step(0, q)
     n = 0
@@ -151,10 +163,24 @@ def _resolve(
     return Verdict(YES if row.code == 1 else NO, n, n)
 
 
-def _stretch(w: InfiniteWord | IndexedInfiniteWord, fuel: Fuel) -> Iterator:
-    """The first ``fuel`` symbols of ``w``; a budget past ``sys.maxsize`` is unbounded."""
-    budget = fuel.max_steps
-    return islice(w.iter_from(1), budget if budget < sys.maxsize else None)
+def _stretch(w: InfiniteWord | IndexedInfiniteWord, fuel: Fuel | None, definitive: Callable[[], tuple]) -> Iterator:
+    """The first ``fuel`` symbols of ``w``.  With ``fuel=None``, the budget is
+    the occurrence bound of the definitive word ``definitive()``, derived only
+    past the first ``_WINDOW`` symbols; the bound is sound, so no run that
+    resolves reads differently.  No run reaches ``sys.maxsize`` symbols, the
+    most ``islice`` takes, so a larger budget is cut to it."""
+    symbols = w.iter_from(1)
+    if fuel is not None:
+        return islice(symbols, min(fuel.max_steps, sys.maxsize))
+    if w.occurrence_bound is None:
+        raise ValueError("word carries no occurrence bound; pass fuel explicitly")
+
+    def parts() -> Iterator[Iterator]:  # chain asks for the second part only once the first runs out
+        yield islice(symbols, _WINDOW)
+        budget = _occurrence_fuel(w, definitive()).max_steps
+        yield islice(symbols, min(max(budget - _WINDOW, 0), sys.maxsize))
+
+    return chain.from_iterable(parts())
 
 
 def _negated(outcome: Outcome) -> Outcome:
@@ -172,15 +198,21 @@ def decide_prefix(
 ) -> Outcome:
     """Does L(a) contain a prefix of w?  Resolution by accept or dead-lock.
 
-    ``fuel=None`` is the occurrence bound of ``find_definitive_word(a)``.
+    ``fuel=None`` is the occurrence bound of ``find_definitive_word(a)``,
+    derived only for a run that outlives the first ``_WINDOW`` symbols.
     ``on_step(position, state)`` is called for position 0 (initial state)
     and after every symbol read, before the verdict checks.
     """
-    explicit = Fuel.of(fuel) if fuel is not None else None  # a bad budget is reported first
-    _check_same_alphabet(a, w)  # then a mismatch, before any work on the automaton
-    dead = dead_lock_states(a)
-    fuel = explicit or _occurrence_fuel(w, _definitive_word(a, dead))
-    return _resolve(a.step, a.initial, _stretch(w, fuel), a.accepting, dead, on_step)
+    return _decide_prefix(a, w, _checked_fuel(a, w, fuel), on_step)
+
+
+def _decide_prefix(
+    a: Dfa, w: InfiniteWord, fuel: Fuel | None, on_step: Callable[[int, object], None] | None
+) -> Outcome:
+    """``decide_prefix`` once its fuel and alphabets are checked."""
+    is_dead = dead_lock_states(a).__contains__
+    symbols = _stretch(w, fuel, lambda: _definitive_word(a, is_dead))
+    return _resolve(a.step, a.initial, symbols, a.accepting, is_dead, on_step)
 
 
 def deadlock_accepting_variant(a: Dfa) -> Dfa:
@@ -203,13 +235,14 @@ def decide_buchi(
     Both events are exactly the resolutions of the prefix decider on the
     dead-lock-accepting variant, so its answer is negated; ``fuel=None`` is the variant's bound.
     """
-    return _negated(decide_prefix(deadlock_accepting_variant(a), w, fuel, on_step))
+    fuel = _checked_fuel(a, w, fuel)  # before the variant is built
+    return _negated(_decide_prefix(deadlock_accepting_variant(a), w, fuel, on_step))
 
 
 def brute_force_prefix_check(a: Dfa, w: InfiniteWord, upto: int) -> int | None:
     """Oracle: least n <= upto with W[1, n] accepted, by plain incremental scan."""
     _check_same_alphabet(a, w)
-    row = _Rows(a.step, a.accepting, frozenset()).row(a.initial)
+    row = _Rows(a.step, a.accepting, frozenset().__contains__).row(a.initial)
     if row.code:
         return 0
     symbols = w.iter_from(1)
@@ -224,7 +257,7 @@ def brute_force_prefix_check(a: Dfa, w: InfiniteWord, upto: int) -> int | None:
 def count_accepted_prefixes(a: Dfa, w: InfiniteWord, upto: int) -> int:
     """How many n in [0, upto] have W[1, n] accepted."""
     _check_same_alphabet(a, w)
-    row = _Rows(a.step, a.accepting, frozenset()).row(a.initial)
+    row = _Rows(a.step, a.accepting, frozenset().__contains__).row(a.initial)
     total = row.code  # 1 exactly when accepting, since no state is marked dead
     for s in islice(w.iter_from(1), max(upto, 0)):
         row = row[s]

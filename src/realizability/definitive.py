@@ -92,7 +92,7 @@ def is_definitive(a: Dfa, w: Word | str) -> DefinitiveCertificate | Refutation:
 
 def definitive_fold(
     states: Iterable[State],
-    dead: frozenset[State],
+    is_dead: Callable[[State], bool],
     run: Callable[[tuple, State], State],
     witness: Callable[[State], tuple],
 ) -> tuple:
@@ -100,14 +100,15 @@ def definitive_fold(
 
     Iterates over the states in order.  At each step the word built so far
     is replayed from the next start state with ``run``; the ``witness`` of
-    the state it lands in is appended, unless that state is dead-locked.
-    The result handles every start state by construction, and witnesses are
-    asked for only the states the fold lands in.
+    the state it lands in is appended, unless ``is_dead`` says that state is
+    dead-locked.  The result handles every start state by construction, and
+    witnesses and dead-lock status are asked for only the states the fold
+    lands in.
     """
     word: tuple = ()
     for q in states:
         landing = run(word, q)
-        if landing not in dead:
+        if not is_dead(landing):
             word = word + witness(landing)
     return word
 
@@ -118,14 +119,14 @@ def find_definitive_word(a: Dfa) -> Word:
     The witness of a state that is not dead-locked is the shortlex-least word
     driving it into an accepting state, which exists by definition.
     """
-    return _definitive_word(a, dead_lock_states(a))
+    return _definitive_word(a, dead_lock_states(a).__contains__)
 
 
-def _definitive_word(a: Dfa, dead: frozenset[State]) -> Word:
-    """``find_definitive_word(a)`` given the dead-lock set of ``a``."""
+def _definitive_word(a: Dfa, is_dead: Callable[[State], bool]) -> Word:
+    """``find_definitive_word(a)`` given the dead-lock test of ``a``."""
     return definitive_fold(
         a.states,
-        dead,
+        is_dead,
         lambda word, q: a.run(word, start=q),
         lambda q: shortlex_search(a.alphabet, q, a.accepting.__contains__, lambda p, s: a.delta[p, s]),
     )

@@ -92,6 +92,37 @@ def effective_dead_locks(ea: EffectiveAutomaton) -> frozenset[State]:
     return frozenset(q for q in ea.states if q not in alive)
 
 
+def _dead_lock_status(ea: EffectiveAutomaton) -> Callable[[State], bool]:
+    """``q in effective_dead_locks(ea)``, decided on first ask and remembered.
+
+    A forward search from q along the existence predicate tries accepting
+    targets first and never asks about a known dead-lock.  It stops at the
+    first accepting or known-alive state: q and its path there are alive.
+    A search that stops nowhere makes q and every state it reached dead-locks.
+    """
+    known = dict.fromkeys(ea.accepting, False)  # state -> is it a dead-lock?
+    targets = sorted(ea.states, key=ea.accepting.__contains__, reverse=True)  # stable: accepting first
+
+    def is_dead(q: State) -> bool:
+        if q in known:
+            return known[q]
+        reached, parent = [q], {q: q}
+        for p in reached:  # appending while iterating makes the list a FIFO queue
+            for r in targets:
+                if r in parent or known.get(r) or not ea.exists_transition(p, r):
+                    continue
+                if r in known:  # alive
+                    while p not in known:
+                        known[p], p = False, parent[p]
+                    return False
+                parent[r] = p
+                reached.append(r)
+        known.update(dict.fromkeys(reached, True))
+        return True
+
+    return is_dead
+
+
 def decide_prefix_infinite(
     ea: EffectiveAutomaton,
     w: IndexedInfiniteWord,
@@ -101,13 +132,15 @@ def decide_prefix_infinite(
     """Prefix realizability of an effective automaton along an indexed word.
 
     Same resolution kernel as the finite-alphabet decider: accept visit
-    means Yes, dead-lock entry means No, and dead-locks are computed up
-    front from the existence predicate.  ``fuel=None`` is ``derived_fuel(ea, w)``.
+    means Yes, dead-lock entry means No.  The dead-lock status of a state is
+    decided from the existence predicate on its first visit, by one memo
+    that ``fuel=None`` shares: that budget is ``derived_fuel(ea, w)``, derived
+    only for a run that outlives the first ``_WINDOW`` symbols.
     """
     explicit = Fuel.of(fuel) if fuel is not None else None  # a bad budget is reported first
-    dead = effective_dead_locks(ea)
-    fuel = explicit or _occurrence_fuel(w, _index_sequence(ea, dead))
-    return _resolve(lambda q, k: ea.delta(k, q), ea.initial, _stretch(w, fuel), ea.accepting, dead, on_step)
+    is_dead = _dead_lock_status(ea)
+    symbols = _stretch(w, explicit, lambda: _index_sequence(ea, is_dead))
+    return _resolve(lambda q, k: ea.delta(k, q), ea.initial, symbols, ea.accepting, is_dead, on_step)
 
 
 def decide_buchi_infinite(
@@ -117,6 +150,7 @@ def decide_buchi_infinite(
     on_step: Callable[[int, State], None] | None = None,
 ) -> Outcome:
     """Infinitely many accepted prefixes?  Dead-lock-accepting variant (and its fuel), negated."""
+    fuel = Fuel.of(fuel) if fuel is not None else None  # a bad budget is reported before the closure
     variant = ea.with_accepting(effective_dead_locks(ea))
     return _negated(decide_prefix_infinite(variant, w, fuel, on_step))
 
@@ -146,11 +180,11 @@ def definitive_index_sequence(ea: EffectiveAutomaton) -> tuple[int, ...]:
     least witness index.  The same fold as in the finite-alphabet
     construction stitches the witnesses together.
     """
-    return _index_sequence(ea, effective_dead_locks(ea))
+    return _index_sequence(ea, _dead_lock_status(ea))
 
 
-def _index_sequence(ea: EffectiveAutomaton, dead: frozenset[State]) -> tuple[int, ...]:
-    """``definitive_index_sequence(ea)`` given the dead-lock set of ``ea``."""
+def _index_sequence(ea: EffectiveAutomaton, is_dead: Callable[[State], bool]) -> tuple[int, ...]:
+    """``definitive_index_sequence(ea)`` given the dead-lock test of ``ea``."""
 
     def witness(start: State) -> tuple[int, ...]:
         returned = {start}  # shortlex_search skips states it has reached: no predicate call for them
@@ -171,7 +205,7 @@ def _index_sequence(ea: EffectiveAutomaton, dead: frozenset[State]) -> tuple[int
             q = ea.delta(k, q)
         return q
 
-    return definitive_fold(ea.states, dead, run, witness)
+    return definitive_fold(ea.states, is_dead, run, witness)
 
 
 def derived_fuel(ea: EffectiveAutomaton, w: IndexedInfiniteWord) -> Fuel:

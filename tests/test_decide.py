@@ -28,6 +28,7 @@ from realizability import (
     find_definitive_word,
     indexed_periodic,
     literal_dfa,
+    regex_dfa,
     ultimately_periodic,
     zero_one_runs,
 )
@@ -61,14 +62,26 @@ class TestFuel:
 
 class TestDecidePrefix:
     def test_an_alphabet_mismatch_is_reported_before_any_work(self, monkeypatch, a_contains1):
+        # decide_buchi too: before it builds the dead-lock-accepting variant
         calls = []
         monkeypatch.setattr(decide_module, "dead_lock_states", lambda a: calls.append(a) or dead_lock_states(a))
         abc = champernowne(ABC)
         mismatch = (AlphabetMismatchError, "automaton alphabet ('0', '1') differs from word alphabet ('a', 'b', 'c')")
-        for fuel in (None, 7):
-            assert failure(lambda: decide_prefix(a_contains1, abc, fuel)) == mismatch
+        for decide in (decide_prefix, decide_buchi):
+            for fuel in (None, 7):
+                assert failure(lambda: decide(a_contains1, abc, fuel)) == mismatch
+            assert failure(lambda: decide(a_contains1, abc, 0)) == (ValueError, "fuel must be positive")
         assert calls == []
-        assert failure(lambda: decide_prefix(a_contains1, abc, 0)) == (ValueError, "fuel must be positive")
+
+    def test_fuel_is_derived_only_for_runs_past_the_window(self, monkeypatch, a_contains1):
+        calls = []
+        fold = decide_module._definitive_word
+        monkeypatch.setattr(decide_module, "_definitive_word", lambda a, is_dead: calls.append(a) or fold(a, is_dead))
+        zeros = regex_dfa(".*" + "0" * 18, BINARY)  # 0^18 first ends at 8,212, past the 4,096-symbol window
+        for a, outcome, derived in ((a_contains1, Verdict("Yes", 2, 2), 0), (zeros, Verdict("Yes", 8212, 8212), 1)):
+            calls.clear()
+            assert decide_prefix(a, W) == outcome
+            assert len(calls) == derived
 
     def test_yes_with_evidence(self, a_contains1):
         # W starts "01...": the first 1 appears at position 2

@@ -129,7 +129,7 @@ class TestDefinitiveFold:
             asked.append(q)
             return shortlex_smallest(with_initial(a, q))
 
-        word = definitive_fold(a.states, frozenset(), lambda w, q: a.run(w, start=q), witness)
+        word = definitive_fold(a.states, frozenset().__contains__, lambda w, q: a.run(w, start=q), witness)
         assert word == ("1",)
         assert asked == ["s0", "s2", "s2"]
 

@@ -30,6 +30,14 @@ The deciders run with their fuel omitted, so each derives its own budget
 from the automaton it steps; the reference runs until its verdict, and the
 two must agree on the answer and its evidence position.  The definitive-word
 constructions and the rr pipeline are checked the same way.
+
+An effective decider decides each state's dead-lock status on its first
+visit; that memo is checked against ``effective_dead_locks`` with the
+states asked in shuffled order, on parsed automata and on morphism
+reductions.  A fuel-free decider derives its bound only past a window of
+symbols; it is checked against the same decider given the derived bound,
+on outcomes and every ``on_step`` call, with the window at 1, 2 and its
+default, and every resolution must lie within that bound.
 """
 
 from __future__ import annotations
@@ -46,6 +54,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import inputs  # noqa: E402
 import reference  # noqa: E402
+import realizability.decide as decide_module  # noqa: E402
+import realizability.effective as effective_module  # noqa: E402
 from helpers import ABC, BINARY, random_dfa, random_nfa  # noqa: E402
 from realizability import (  # noqa: E402
     AlphabetMismatchError,
@@ -54,6 +64,7 @@ from realizability import (  # noqa: E402
     EffectiveAutomaton,
     EffectiveMorphism,
     FilterLanguage,
+    Fuel,
     InfiniteWord,
     MullerAutomaton,
     Nfa,
@@ -73,9 +84,11 @@ from realizability import (  # noqa: E402
     decide_prefix_morphism,
     definitive_index_sequence,
     definitive_witness,
+    deadlock_accepting_variant,
     derived_fuel,
     effective_dead_locks,
     equivalent,
+    filter_to_word,
     find_definitive_word,
     is_definitive,
     limit_set_ultper,
@@ -84,6 +97,7 @@ from realizability import (  # noqa: E402
     parse_effective,
     reachable_closure,
     reachable_states,
+    reduce_morphism_automaton,
     regex_dfa,
     relabel_bfs,
     rr_pipeline,
@@ -430,7 +444,7 @@ def eager_decide_prefix_theorem1(a: Dfa, machines, word=None, on_step=None):
     w = word if word is not None else bridge.theorem1_word(machines)
     stage = w.ensure_stage(bridge.encode_dfa(a))
     symbols = islice(w.iter_from(1), stage.end)
-    outcome = _resolve(a.step, a.initial, symbols, a.accepting, dead_lock_states(a), on_step)
+    outcome = _resolve(a.step, a.initial, symbols, a.accepting, dead_lock_states(a).__contains__, on_step)
     return Verdict("No", stage.end, stage.end) if isinstance(outcome, FuelExhausted) else outcome
 
 
@@ -551,7 +565,7 @@ def test_kernel_against_the_tuple_keyed_loop(alphabet):
             reach = tuple_keyed_resolve(a.delta, a.initial, stretch(2_000), a.accepting, dead)
             for fuel in fuels_around(reach.steps_used, rng):
                 old = traced_run(lambda f: tuple_keyed_resolve(a.delta, a.initial, stretch(fuel), a.accepting, dead, f))
-                new = traced_run(lambda f: _resolve(a.step, a.initial, stretch(fuel), a.accepting, dead, f))
+                new = traced_run(lambda f: _resolve(a.step, a.initial, stretch(fuel), a.accepting, dead.__contains__, f))
                 assert new == old, (a, dead, fuel)
                 if dead is dead_locks:
                     assert traced_run(lambda f: decide_prefix(a, w, fuel, f)) == old, (a, fuel)
@@ -609,3 +623,69 @@ def test_effective_kernel_against_the_delta_table():
             assert len(asked) == len(set(asked))  # each transition taken is asked for once
             seen.add((type(old[0]).__name__, getattr(old[0], "answer", None)))
     assert {("Verdict", "Yes"), ("Verdict", "No"), ("FuelExhausted", None)} <= seen
+
+
+def reductions(seed: int, draws: int):
+    """Reductions of seeded ``random_dfa`` draws by the two built-in morphisms,
+    a random index-periodic one and the filter morphism of each benchmark filter."""
+    rng = random.Random(seed)
+    fixed = [(zero_one_runs(), BINARY), (zero_one_blocks(), BINARY)]
+    for table in inputs.FILTERS:
+        phi, _image = filter_to_word(FilterLanguage.from_dfa(as_dfa_of(table)))
+        fixed.append((phi, phi.alphabet))
+    for i in range(draws):
+        if i % 4 == 2:
+            phi, alphabet = EffectiveMorphism.index_periodic(inputs.random_periodic(rng)[1], BINARY), BINARY
+        else:
+            phi, alphabet = fixed[i % len(fixed)]
+        yield rng, reduce_morphism_automaton(random_dfa(rng, max_states=3, alphabet=alphabet), phi)
+
+
+def effective_draws(seed: int):
+    """Parsed ``inputs.random_effective`` automata, then morphism reductions."""
+    yield from parsed_effective(seed)
+    yield from reductions(seed, DRAWS // 2)
+
+
+def test_dead_lock_status_on_demand_against_the_closure():
+    for rng, ea in effective_draws(914):
+        asked = rng.sample(ea.states, len(ea.states))
+        is_dead = effective_module._dead_lock_status(ea)
+        assert frozenset(q for q in asked if is_dead(q)) == effective_dead_locks(ea), (ea.states, asked)
+        assert [is_dead(q) for q in asked] == [q in effective_dead_locks(ea) for q in asked]  # remembered
+
+
+DEFAULT_WINDOW = decide_module._WINDOW
+WINDOWS = pytest.mark.parametrize("window", [1, 2, DEFAULT_WINDOW])
+
+
+@WINDOWS
+def test_fuel_free_effective_deciders_against_the_derived_bound(window, monkeypatch):
+    monkeypatch.setattr(decide_module, "_WINDOW", window)
+    w = universal_indexed_word()
+    crossed = 0
+    for _rng, ea in effective_draws(915):
+        variant = ea.with_accepting(effective_dead_locks(ea))
+        for decide, stepped in ((decide_prefix_infinite, ea), (decide_buchi_infinite, variant)):
+            bound = derived_fuel(stepped, w)
+            free = traced_run(lambda f: decide(ea, w, None, f))
+            assert free == traced_run(lambda f: decide(ea, w, bound, f)), (ea.states, decide.__name__)
+            assert isinstance(free[0], Verdict) and free[0].evidence <= bound.max_steps
+            crossed += free[0].evidence > window
+    assert crossed  # one draw resolves at 18,556, past every window
+
+
+@WINDOWS
+@ALPHABETS
+def test_fuel_free_deciders_against_the_derived_bound(alphabet, window, monkeypatch):
+    monkeypatch.setattr(decide_module, "_WINDOW", window)
+    w = champernowne(alphabet)
+    crossed = 0
+    for _rng, a, _t in draws(916, alphabet):
+        for decide, stepped in ((decide_prefix, a), (decide_buchi, deadlock_accepting_variant(a))):
+            bound = Fuel(max(1, w.occurrence_bound(find_definitive_word(stepped))))
+            free = traced_run(lambda f: decide(a, w, None, f))
+            assert free == traced_run(lambda f: decide(a, w, bound, f)), (a, decide.__name__)
+            assert isinstance(free[0], Verdict) and free[0].evidence <= bound.max_steps
+            crossed += free[0].evidence > window
+    assert crossed or window == DEFAULT_WINDOW

@@ -10,6 +10,7 @@ from collections import deque
 
 import pytest
 
+import realizability.decide as decide_module
 import realizability.effective as effective_module
 from helpers import BINARY, failure, random_dfa, random_nfa
 from realizability import (
@@ -261,30 +262,67 @@ class TestDecideInfinite:
         assert decide_buchi_infinite(ea, w) == Verdict("No", 103, 103)
 
     def test_omitted_fuel_reuses_the_dead_lock_set(self, monkeypatch):
-        # one dead-lock closure per stepped automaton: the prefix decider's,
-        # and for Büchi the original's (to build the variant) and the variant's
-        calls: list[EffectiveAutomaton] = []
+        # one dead-lock memo per stepped automaton, which the fuel derived past
+        # the window (one symbol here) reuses; for Büchi one closure more, the
+        # original's, to build the variant
+        closures: list[EffectiveAutomaton] = []
+        memos: list = []
+        folds: list = []
+        status, fold = effective_module._dead_lock_status, effective_module._index_sequence
 
         def counted(ea: EffectiveAutomaton) -> frozenset:
-            calls.append(ea)
+            closures.append(ea)
             return effective_dead_locks(ea)
 
+        def memo(ea: EffectiveAutomaton):
+            memos.append(status(ea))
+            return memos[-1]
+
+        def folded(ea: EffectiveAutomaton, is_dead) -> tuple[int, ...]:
+            folds.append(is_dead)
+            return fold(ea, is_dead)
+
         monkeypatch.setattr(effective_module, "effective_dead_locks", counted)
+        monkeypatch.setattr(effective_module, "_dead_lock_status", memo)
+        monkeypatch.setattr(effective_module, "_index_sequence", folded)
+        monkeypatch.setattr(decide_module, "_WINDOW", 1)
         w, phi = universal_indexed_word(), zero_one_runs()
         a = regex_dfa("0*1", BINARY)
         ea = parse_effective(BUCHI_FUEL_CASE)
         lang = FilterLanguage.from_dfa(regex_dfa("0+", BINARY))
-        decisions = {
-            "prefix_infinite": (lambda: decide_prefix_infinite(ea, w), 1),
-            "buchi_infinite": (lambda: decide_buchi_infinite(ea, w), 2),
-            "prefix_morphism": (lambda: decide_prefix_morphism(a, phi, w), 1),
-            "buchi_morphism": (lambda: decide_buchi_morphism(a, phi, w), 2),
-            "rr_pipeline": (lambda: rr_pipeline(regex_dfa("00", BINARY), lang), 1),
+        decisions = {  # decision: (closures, folds); the first resolves at 0, inside the window
+            "prefix_infinite": (lambda: decide_prefix_infinite(ea, w), 0, 0),
+            "buchi_infinite": (lambda: decide_buchi_infinite(ea, w), 1, 1),
+            "prefix_morphism": (lambda: decide_prefix_morphism(a, phi, w), 0, 1),
+            "buchi_morphism": (lambda: decide_buchi_morphism(a, phi, w), 1, 1),
+            "rr_pipeline": (lambda: rr_pipeline(regex_dfa("00", BINARY), lang), 0, 1),
         }
-        for name, (decide, expected) in decisions.items():
-            calls.clear()
+        for name, (decide, expected_closures, expected_folds) in decisions.items():
+            closures.clear(), memos.clear(), folds.clear()
             assert isinstance(decide(), Verdict), name
-            assert len(calls) == expected, name
+            assert (len(closures), len(memos), len(folds)) == (expected_closures, 1, expected_folds), name
+            assert all(is_dead is memos[0] for is_dead in folds), name
+
+    def test_fuel_is_derived_only_for_runs_past_the_window(self, monkeypatch):
+        folds: list[EffectiveAutomaton] = []
+        fold = effective_module._index_sequence
+        monkeypatch.setattr(effective_module, "_index_sequence", lambda ea, is_dead: folds.append(ea) or fold(ea, is_dead))
+        # index 6 first occurs at 18,556, past the 4,096-symbol window
+        late = parse_effective(FIXTURE_TEXT.replace("0%2", "0%1 -6").replace("1%2", "+6"))
+        w = universal_indexed_word()
+        for ea, outcome, derived in ((parse_effective(FIXTURE_TEXT), Verdict("Yes", 1, 1), 0),
+                                     (late, Verdict("Yes", 18556, 18556), 1)):
+            folds.clear()
+            assert decide_prefix_infinite(ea, w) == outcome
+            assert len(folds) == derived
+
+    def test_validation_comes_before_the_closure(self, monkeypatch):
+        calls: list[EffectiveAutomaton] = []
+        monkeypatch.setattr(effective_module, "effective_dead_locks", lambda ea: calls.append(ea) or frozenset())
+        ea = parse_effective(FIXTURE_TEXT)
+        for decide in (decide_prefix_infinite, decide_buchi_infinite):
+            assert failure(lambda: decide(ea, universal_indexed_word(), 0)) == (ValueError, "fuel must be positive")
+        assert calls == []
 
     def test_buchi_infinite(self):
         w = universal_indexed_word()
@@ -340,7 +378,7 @@ class TestDecideInfinite:
         ea = EffectiveAutomaton(base.states, base.delta, exists, base.initial, base.accepting)
         assert definitive_index_sequence(ea) == (1, 1)
         assert asked == [
-            ("q0", "q2"), ("q1", "q2"), ("q0", "q1"),  # dead-locks, backward from q2
+            ("q0", "q2"), ("q0", "q1"), ("q1", "q2"),  # q0's dead-lock status, forward, accepting q2 first
             ("q0", "q1"), ("q0", "q2"), ("q1", "q2"),  # the witness search from q0
             ("q0", "q1"), ("q1", "q2"),  # the least index of each edge on its path
         ]
