@@ -37,7 +37,6 @@ from itertools import chain, count, islice
 from typing import Callable, Iterator
 
 from .automata import (
-    EPSILON,
     Alphabet,
     AlphabetMismatchError,
     Automaton,
@@ -47,14 +46,13 @@ from .automata import (
     Word,
     as_dfa,
     as_word,
-    dead_lock_states,
     explore,
     meets,
     relabel_bfs,
     shortlex_search,
     words_upto,
 )
-from .decide import Fuel, FuelExhausted, NO, Outcome, Verdict, _resolve
+from .decide import Fuel, FuelExhausted, NO, Outcome, Verdict, _dead_on_demand, _resolve
 from .effective import decide_prefix_morphism
 from .textio import FormatError, _sections, _tokenized
 from .words import (
@@ -475,22 +473,33 @@ class _BlockRows:
         return self.rows
 
 
-def _patch_word(table: list[tuple[int, int]], accepting: frozenset[int], q: int, blocks: Dfa) -> Word:
-    """Shortlex-least word of ``blocks`` along which the table's automaton,
-    started in q, passes an accepting state; () when there is none.
+def _patch_ranks(table: list, accepting: frozenset, q: int, forbidden: frozenset[int]) -> tuple[int, ...]:
+    """Ranks of the shortlex-least block word, ranks outside ``forbidden``, along which the table's
+    automaton, started in q, passes an accepting state; () if none.  One breadth-first search over
+    pairs of a table state (None once past an accepting one) and the count m of 0s in the open block
+    (-1 between blocks), saturated as in ``block_word_dfa``; each entry carries the ranks it closed."""
+    if q in accepting:
+        return ()
+    cap = max(forbidden, default=0) + 1
+    succ0, succ1 = ([None if row[j] in accepting else row[j] for row in table] for j in (0, 1))
+    seen, order = {(q, -1)}, [(q, -1, ())]
 
-    One search over pairs of a state of the table (None once an accepting
-    state was passed) and a state of ``blocks``.
-    """
-    succ = {sym: [None if row[j] in accepting else row[j] for row in table] for j, sym in enumerate(BINARY)}
+    def visit(p: int | None, m: int, ranks: tuple) -> None:
+        if (p, min(m, cap)) not in seen:
+            seen.add((p, min(m, cap)))
+            order.append((p, m, ranks))
 
-    def step(pair: tuple, s: Symbol) -> tuple:
-        p, b = pair
-        return (None if p is None else succ[s][p]), blocks.delta[b, s]
-
-    start = (None if q in accepting else q, blocks.initial)
-    patch = shortlex_search(BINARY, start, lambda pair: pair[0] is None and pair[1] in blocks.accepting, step)
-    return patch if patch is not None else EPSILON
+    for p, m, ranks in order:  # appending while iterating makes the list a FIFO queue
+        p0, p1 = (None, None) if p is None else (succ0[p], succ1[p])
+        if m < 0:  # between blocks a 0 is no block word; a 1 opens a block
+            visit(p1, 0, ranks)
+            continue
+        visit(p0, m + 1, ranks)  # 0 extends the open block
+        if m and m not in forbidden:  # 1 closes it
+            if p1 is None:
+                return (*ranks, m)
+            visit(p1, -1, (*ranks, m))
+    return ()
 
 
 def _blocks_text(ranks: tuple[int, ...]) -> str:
@@ -541,7 +550,6 @@ class Theorem1Word(InfiniteWord):
         top = emitted = 0  # the largest patch rank so far; machine ranks stay <= n
         alive: tuple[int, ...] = ()
         forbidden: frozenset[int] = frozenset()
-        blocks = block_word_dfa(forbidden)
         block_rows, q, replayed = None, 0, 0
         for n in count(1):
             # halting is monotone: only machines alive at n - 1, and n itself, can be alive at n
@@ -549,7 +557,6 @@ class Theorem1Word(InfiniteWord):
             alive = tuple(k for k in running if not self.machines.halts_within(k, n))
             if len(alive) < len(running):
                 forbidden = frozenset(range(1, n + 1)).difference(alive)
-                blocks = block_word_dfa(forbidden)
             table, accepting = _decode_table(n)
             ranks.extend(alive)
             if block_rows is None or table != block_rows.table:  # the run depends on the table only
@@ -558,10 +565,9 @@ class Theorem1Word(InfiniteWord):
             for m in ranks[replayed:]:
                 q = rows[q][m]
             replayed = len(ranks)
-            patch_word = "".join(_patch_word(table, accepting, q, blocks))
-            patch_ranks = tuple(split_blocks(patch_word))
+            patch_ranks = _patch_ranks(table, accepting, q, forbidden)
             assert not (set(patch_ranks) & forbidden), "patch uses a forbidden block"
-            stage_word = _blocks_text(alive) + patch_word
+            stage_word = _blocks_text(alive + patch_ranks)
             emitted += len(stage_word)
             self._stages.append(Stage(n, alive, patch_ranks, emitted))
             ranks.extend(patch_ranks)
@@ -598,25 +604,27 @@ def decide_prefix_theorem1(
     The word's stage for the automaton's own canonical index is the latest
     point of resolution: every later symbol extends the prefix by blocks the
     stage's patch already accounted for, so if the run has not passed an
-    accepting state by the end of that stage it never will.  The run reads
-    the word stage by stage and builds no stage past the one it resolves in,
-    so a word passed in may hold fewer stages than the index after the call.
+    accepting state by the end of that stage it never will.  The run reads the
+    word stage by stage, each a slice of the word's buffer, and builds no stage
+    past the one it resolves in, so a word passed in may hold fewer stages than
+    the index after the call.  The index is computed only past stage 1, and the
+    dead-lock set on the first visit to a state that is not accepting.
     ``on_step`` is called as in ``decide_prefix``.
     """
     if a.alphabet != BINARY:
         raise AlphabetMismatchError("the diagonal word is over the binary alphabet 0/1")
     w = word if word is not None else theorem1_word(machines)
-    index = encode_dfa(a)
 
-    def stages() -> Iterator[Iterator[str]]:
-        start = 0
-        for k in range(1, index + 1):
+    def stages() -> Iterator[list[str]]:  # chain asks for stage 2 only once stage 1 is read
+        start = w.ensure_stage(1).end
+        yield w._buf[:start]
+        for k in range(2, encode_dfa(a) + 1):
             end = w.ensure_stage(k).end
-            yield islice(w.iter_from(start + 1), end - start)
+            yield w._buf[start:end]
             start = end
 
     symbols = chain.from_iterable(stages())
-    outcome = _resolve(a.step, a.initial, symbols, a.accepting, dead_lock_states(a).__contains__, on_step)
+    outcome = _resolve(a.step, a.initial, symbols, a.accepting, _dead_on_demand(a), on_step)
     if isinstance(outcome, FuelExhausted):  # the run read the word through the index's stage
         return Verdict(NO, outcome.steps_used, outcome.steps_used)
     return outcome

@@ -131,6 +131,12 @@ class _Row(dict):
         return row
 
 
+def _dead_on_demand(a: Dfa) -> Callable[[State], bool]:
+    """``is_dead`` for ``a``; the dead-lock set is computed on the first call."""
+    memo: dict[str, frozenset] = {}
+    return lambda q: q in (memo["dead"] if memo else memo.setdefault("dead", dead_lock_states(a)))
+
+
 def _resolve(
     successor: Callable[[State, object], State],
     q: State,
@@ -210,7 +216,7 @@ def _decide_prefix(
     a: Dfa, w: InfiniteWord, fuel: Fuel | None, on_step: Callable[[int, object], None] | None
 ) -> Outcome:
     """``decide_prefix`` once its fuel and alphabets are checked."""
-    is_dead = dead_lock_states(a).__contains__
+    is_dead = _dead_on_demand(a)
     symbols = _stretch(w, fuel, lambda: _definitive_word(a, is_dead))
     return _resolve(a.step, a.initial, symbols, a.accepting, is_dead, on_step)
 

@@ -51,8 +51,10 @@ from realizability import (
     with_initial,
     words_upto,
 )
-from realizability.automata import meets
-from realizability.bridge import Stage, _BlockRows, _decode_table, _patch_word
+import realizability.bridge as bridge_module
+import realizability.decide as decide_module
+from realizability.automata import dead_lock_states, meets
+from realizability.bridge import Stage, _BlockRows, _blocks_text, _decode_table, _patch_ranks
 
 
 class CountingDfa(Dfa):
@@ -671,7 +673,8 @@ class TestBlockReplay:
             for j, q in enumerate(a.states):
                 passes = absorbing_accepting(with_initial(a, q))
                 expected = shortlex_smallest(intersect(passes, allowed))
-                assert _patch_word(table, accepting, j, allowed) == (expected or ()), (a, q, forbidden)
+                ranks = _patch_ranks(table, accepting, j, forbidden)
+                assert tuple(_blocks_text(ranks)) == (expected or ()), (a, q, forbidden)
 
 
 class TestDecideTheorem1:
@@ -725,6 +728,29 @@ class TestDecideTheorem1:
         assert encode_dfa(a_contains1) == 33
         assert decide_prefix_theorem1(a_contains1, machine_list, word=w) == Verdict("Yes", 1, 1)
         assert len(w._stages) == 1
+
+    def test_pays_only_for_what_its_run_reads(self, a_contains1, machine_list, monkeypatch):
+        # a run resolved at position 0 builds no stage and one resolved in stage 1 builds only it,
+        # neither computing the canonical index; the halting list's stages 1 and 2 are empty, so
+        # there the run reads into stage 3 and computes it once; only a start that is not
+        # accepting computes the dead-lock set
+        index_calls, dead_calls = [], []
+        encode = bridge_module.encode_dfa
+        monkeypatch.setattr(bridge_module, "encode_dfa", lambda a: index_calls.append(a) or encode(a))
+        monkeypatch.setattr(decide_module, "dead_lock_states", lambda a: dead_calls.append(a) or dead_lock_states(a))
+        halting = parse_machines(HALTING_TEXT)
+        cases = (
+            (decode_dfa(2), machine_list, Verdict("Yes", 0, 0), 0, 0, 0),
+            (decode_dfa(1), machine_list, Verdict("No", 0, 0), 0, 0, 1),
+            (a_contains1, machine_list, Verdict("Yes", 1, 1), 1, 0, 1),
+            (a_contains1, halting, Verdict("Yes", 1, 1), 3, 1, 1),
+        )
+        for a, machines, verdict, stages, index, dead in cases:
+            index_calls.clear()
+            dead_calls.clear()
+            w = theorem1_word(machines)
+            assert decide_prefix_theorem1(a, machines, word=w) == verdict
+            assert (len(w._stages), len(index_calls), len(dead_calls)) == (stages, index, dead), a
 
     def test_generic_decider_agrees(self, a_contains1, machine_list):
         w = theorem1_word(machine_list)

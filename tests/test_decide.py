@@ -163,6 +163,28 @@ class TestDecidePrefix:
             assert isinstance(decide(counter(3), W), Verdict)
             assert len(calls) == expected, decide.__name__
 
+    def test_dead_locks_are_computed_on_first_need(self, monkeypatch, a_contains1):
+        # an accepting start never asks for the set; any other run asks once, and a run past the
+        # window derives its fuel from that same set
+        calls: list[Dfa] = []
+
+        def counted(a: Dfa) -> frozenset:
+            calls.append(a)
+            return dead_lock_states(a)
+
+        for module in (decide_module, definitive_module):
+            monkeypatch.setattr(module, "dead_lock_states", counted)
+        accepts_all = Dfa(BINARY, ("p",), {("p", "0"): "p", ("p", "1"): "p"}, "p", frozenset({"p"}))
+        zeros = regex_dfa(".*" + "0" * 18, BINARY)  # first accepts at 8,212, past the window
+        cases = ((accepts_all, Verdict("Yes", 0, 0), 0), (a_contains1, Verdict("Yes", 2, 2), 1),
+                 (regex_dfa("1", BINARY), Verdict("No", 1, 1), 1), (counter(3), Verdict("Yes", 6, 6), 1),
+                 (zeros, Verdict("Yes", 8212, 8212), 1))
+        for a, outcome, expected in cases:
+            for fuel in (None, 9000):
+                calls.clear()
+                assert decide_prefix(a, W, fuel) == outcome
+                assert calls == [a] * expected, (a, fuel)
+
     def test_omitted_fuel_needs_an_occurrence_bound(self, a_contains1):
         zeros = ultimately_periodic("", "0", alphabet=BINARY)
         for decide in (decide_prefix, decide_buchi):
