@@ -98,12 +98,6 @@ class Dfa:
             raise ValueError(f"initial state {self.initial!r} not among states")
         if not self.accepting <= state_set:
             raise ValueError("accepting set contains unknown states")
-        targets = map(self.delta.get, product(self.states, self.alphabet.symbols))
-        try:  # one C-level pass, else the loop
-            if None not in state_set and state_set.issuperset(targets):
-                return
-        except TypeError:  # a set target, which only the loop's `in` tries as a frozenset
-            pass
         for q in self.states:
             for s in self.alphabet:
                 target = self.delta.get((q, s))

@@ -422,13 +422,18 @@ class Block:
         return ("1",) + ("0",) * self.rank + ("1",)
 
 
-def block_word_dfa(forbidden_ranks: frozenset[int]) -> Dfa:
-    """Automaton for concatenations of blocks whose ranks avoid the given set.
+def _block_counter(forbidden: frozenset[int]) -> tuple[int, Callable[[int], bool]]:
+    """The block words' run-length counter: ``(cap, closes)``.  The count of
+    0s in an open block saturates at cap, one past the largest forbidden rank
+    (all longer runs are equivalent and allowed); a 1 after m 0s closes the
+    block iff ``closes(m)``.  ``block_word_dfa`` and ``_patch_ranks`` share it."""
+    return max(forbidden, default=0) + 1, lambda m: m >= 1 and m not in forbidden
 
-    Counting 0-runs saturates one past the largest forbidden rank; all
-    longer runs are equivalent and allowed.
-    """
-    cap = max(forbidden_ranks, default=0) + 1
+
+def block_word_dfa(forbidden_ranks: frozenset[int]) -> Dfa:
+    """Automaton for concatenations of blocks whose ranks avoid the given set,
+    over the run-length counter of ``_block_counter``."""
+    cap, closes = _block_counter(forbidden_ranks)
     states: tuple[State, ...] = ("b",) + tuple(f"r{i}" for i in range(cap + 1)) + ("x",)
     delta: dict[tuple[State, Symbol], State] = {
         ("b", "0"): "x",
@@ -438,7 +443,7 @@ def block_word_dfa(forbidden_ranks: frozenset[int]) -> Dfa:
     }
     for i in range(cap + 1):
         delta[(f"r{i}", "0")] = f"r{min(i + 1, cap)}"
-        delta[(f"r{i}", "1")] = "b" if i >= 1 and i not in forbidden_ranks else "x"
+        delta[(f"r{i}", "1")] = "b" if closes(i) else "x"
     return Dfa(BINARY, states, delta, "b", frozenset({"b"}))
 
 
@@ -477,10 +482,10 @@ def _patch_ranks(table: list, accepting: frozenset, q: int, forbidden: frozenset
     """Ranks of the shortlex-least block word, ranks outside ``forbidden``, along which the table's
     automaton, started in q, passes an accepting state; () if none.  One breadth-first search over
     pairs of a table state (None once past an accepting one) and the count m of 0s in the open block
-    (-1 between blocks), saturated as in ``block_word_dfa``; each entry carries the ranks it closed."""
+    (-1 between blocks), keyed saturated as in ``_block_counter``; each entry carries the ranks it closed."""
     if q in accepting:
         return ()
-    cap = max(forbidden, default=0) + 1
+    cap, closes = _block_counter(forbidden)
     succ0, succ1 = ([None if row[j] in accepting else row[j] for row in table] for j in (0, 1))
     seen, order = {(q, -1)}, [(q, -1, ())]
 
@@ -495,7 +500,7 @@ def _patch_ranks(table: list, accepting: frozenset, q: int, forbidden: frozenset
             visit(p1, 0, ranks)
             continue
         visit(p0, m + 1, ranks)  # 0 extends the open block
-        if m and m not in forbidden:  # 1 closes it
+        if closes(m):  # 1 closes it
             if p1 is None:
                 return (*ranks, m)
             visit(p1, -1, (*ranks, m))

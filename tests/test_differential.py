@@ -19,15 +19,6 @@ product at every operator, on seeded ``inputs.random_regex`` patterns.
 The fuel-free diagonal decider reads the word stage by stage; it is checked
 against a test-only copy of the body that built the word through the
 automaton's own stage first, on verdicts and on every ``on_step`` call.
-The diagonal word's stages take their patches from a run-length counter
-stepped directly; every stage record and the word through stage 66 are
-checked against a test-only copy of the builder that searched a product with
-``block_word_dfa`` and read the patch's ranks back with ``split_blocks``.
-
-``Dfa`` checks its transition function in one C-level pass and walks the
-pairs only to name a failure; it is checked against a test-only copy of the
-loop alone on seeded mutations of ``random_dfa`` draws, on the exception's
-type and message and so on the order of the checks.
 
 The stepping kernel walks successor rows built on first use; it, the
 accepted-prefix count and the brute-force scan are checked against
@@ -53,7 +44,7 @@ from __future__ import annotations
 
 import random
 import sys
-from collections import defaultdict, deque
+from collections import deque
 from itertools import islice
 from pathlib import Path
 
@@ -117,7 +108,7 @@ from realizability import (  # noqa: E402
     zero_one_runs,
 )
 from realizability import bridge  # noqa: E402
-from realizability.automata import as_dfa, nfa_of, shortlex_search  # noqa: E402
+from realizability.automata import as_dfa, nfa_of  # noqa: E402
 from realizability.decide import FuelExhausted, Verdict, _resolve  # noqa: E402
 from conftest import MACHINES_TEXT  # noqa: E402
 from test_bridge import HALTING_TEXT  # noqa: E402
@@ -489,140 +480,6 @@ def test_theorem1_decider_unresolved_through_its_stage(text, monkeypatch):
     verdict, steps = traced(bridge.decide_prefix_theorem1, a, machines)
     assert (verdict, len(steps)) == (Verdict("No", end, end), end + 1)
     assert (verdict, steps) == traced(eager_decide_prefix_theorem1, a, machines)
-
-
-def product_patch_word(table, accepting, q, blocks: Dfa) -> tuple:
-    """The earlier patch search: one shortlex search over pairs of a table
-    state (None once an accepting state was passed) and a state of ``blocks``."""
-    succ = {sym: [None if row[j] in accepting else row[j] for row in table] for j, sym in enumerate("01")}
-
-    def step(pair, s):
-        p, b = pair
-        return (None if p is None else succ[s][p]), blocks.delta[b, s]
-
-    start = (None if q in accepting else q, blocks.initial)
-    patch = shortlex_search("01", start, lambda pair: pair[0] is None and pair[1] in blocks.accepting, step)
-    return patch if patch is not None else ()
-
-
-def block_dfa_stages(machines, upto: int) -> tuple[list, str]:
-    """Stages 1..upto and the word through them, built as the earlier
-    ``Theorem1Word._generate`` built them: a ``block_word_dfa`` for each new
-    forbidden set, and each patch's ranks read back by ``split_blocks``."""
-    ranks: list[int] = []
-    top = emitted = 0
-    alive: tuple[int, ...] = ()
-    forbidden: frozenset[int] = frozenset()
-    blocks = bridge.block_word_dfa(forbidden)
-    block_rows, q, replayed = None, 0, 0
-    stages, text = [], []
-    for n in range(1, upto + 1):
-        running = (*alive, n)
-        alive = tuple(k for k in running if not machines.halts_within(k, n))
-        if len(alive) < len(running):
-            forbidden = frozenset(range(1, n + 1)).difference(alive)
-            blocks = bridge.block_word_dfa(forbidden)
-        table, accepting = bridge._decode_table(n)
-        ranks.extend(alive)
-        if block_rows is None or table != block_rows.table:
-            block_rows, q, replayed = bridge._BlockRows(table), 0, 0
-        rows = block_rows.upto(max(n, top))
-        for m in ranks[replayed:]:
-            q = rows[q][m]
-        replayed = len(ranks)
-        patch_word = "".join(product_patch_word(table, accepting, q, blocks))
-        patch_ranks = tuple(bridge.split_blocks(patch_word))
-        stage_word = bridge._blocks_text(alive) + patch_word
-        emitted += len(stage_word)
-        stages.append(bridge.Stage(n, alive, patch_ranks, emitted))
-        text.append(stage_word)
-        ranks.extend(patch_ranks)
-        top = max((top, *patch_ranks))
-    return stages, "".join(text)
-
-
-@MACHINE_TEXTS
-def test_stages_against_the_block_dfa_builder(text):
-    expected, expected_text = block_dfa_stages(bridge.parse_machines(text), 66)
-    w = bridge.theorem1_word(bridge.parse_machines(text))
-    assert [w.stage(n) for n in range(1, 67)] == expected
-    assert "".join(w.prefix(expected[-1].end)) == expected_text
-    assert any(stage.patch_ranks for stage in expected)
-
-
-def looped_dfa_check(alphabet, states, delta, initial, accepting) -> None:
-    """The earlier ``Dfa.__post_init__``: every pair looked up in a Python loop."""
-    state_set = set(states)
-    if len(state_set) != len(states):
-        raise ValueError("duplicate states")
-    if initial not in state_set:
-        raise ValueError(f"initial state {initial!r} not among states")
-    if not accepting <= state_set:
-        raise ValueError("accepting set contains unknown states")
-    for q in states:
-        for s in alphabet:
-            target = delta.get((q, s))
-            if target is None:
-                raise ValueError(f"transition function undefined on ({q!r}, {s!r})")
-            if target not in state_set:
-                raise ValueError(f"transition ({q!r}, {s!r}) leads to unknown state {target!r}")
-
-
-def mutated_dfa_fields(rng: random.Random, alphabet) -> tuple:
-    """A ``random_dfa`` draw's fields with a seeded choice of defects."""
-    a = random_dfa(rng, max_states=6, alphabet=alphabet)
-    states, delta, initial, accepting = list(a.states), dict(a.delta), a.initial, set(a.accepting)
-    pairs = list(delta)
-    if rng.random() < 0.25:  # a state named None, with or without transitions
-        states.insert(rng.randrange(len(states) + 1), None)
-        if rng.random() < 0.5:
-            delta.update({(None, s): rng.choice(states) for s in alphabet})
-    if rng.random() < 0.25:
-        del delta[rng.choice(pairs)]
-    if rng.random() < 0.25:
-        delta[rng.choice(pairs)] = "unknown"
-    if rng.random() < 0.25:
-        delta[rng.choice(pairs)] = None
-    if rng.random() < 0.1:  # a set target: unknown, or equal to a frozenset state, which `in` accepts
-        states.append(frozenset({"f"}))
-        delta.update({(states[-1], s): states[0] for s in alphabet})
-        delta[rng.choice(pairs)] = {"f"} if rng.random() < 0.5 else {"g"}
-    if rng.random() < 0.25:  # keys outside states x alphabet
-        delta.update({("elsewhere", alphabet.symbols[0]): states[0], (states[-1], "?"): "nowhere"})
-    if rng.random() < 0.1:
-        states.append(rng.choice(states))
-    if rng.random() < 0.1:
-        initial = "unknown"
-    if rng.random() < 0.1:
-        accepting.add("unknown")
-    if rng.random() < 0.3:  # a defaultdict would answer every missing pair if it were indexed
-        delta = defaultdict(lambda: states[0], delta)
-    return alphabet, tuple(states), delta, initial, frozenset(accepting)
-
-
-def outcome_of(build, *fields):
-    try:
-        build(*fields)
-    except Exception as exc:  # the comparison is on the type and message
-        return type(exc), str(exc)
-    return None
-
-
-@ALPHABETS
-def test_dfa_check_against_the_loop(alphabet):
-    rng = random.Random(2601)
-    messages = set()
-    for _ in range(2000):
-        fields = mutated_dfa_fields(rng, alphabet)
-        size = len(fields[2])
-        expected = outcome_of(looped_dfa_check, *fields)
-        assert outcome_of(Dfa, *fields) == expected, fields
-        assert len(fields[2]) == size  # a defaultdict delta is read, never extended
-        messages.add(expected[1] if expected else "valid")
-    kinds = ("valid", "duplicate states", "not among states", "accepting set contains", "undefined on (None,",
-             "undefined on ('s", "leads to unknown state 'unknown'", "leads to unknown state {'g'}")
-    for kind in kinds:
-        assert any(kind in message for message in messages), kind
 
 
 def tuple_keyed_resolve(table, q, symbols, accepting, dead, on_step=None):
