@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, count, islice
 from typing import Callable, Iterator
 
@@ -181,6 +181,7 @@ def prefix_via_rr(
     total; on No instances the run's first question, whether the initial
     state is a dead-lock, already answers.
     """
+    fuel = Fuel.of(fuel) if fuel is not None else None  # a bad budget is reported before the reduction
     separator = next((s for s in a.alphabet if s not in lang.alphabet), "#")
     phi, _image = filter_to_word(lang, separator)
     if w is None:
@@ -254,106 +255,79 @@ def encode_dfa(a: Dfa) -> int:
 
     Automata already in canonical shape (states q1..qs, initial q1) are read
     off directly, which makes decode/encode mutually inverse; anything else
-    is first normalized by breadth-first relabeling of its reachable part
-    (language-preserving).
+    is read off one breadth-first exploration of its reachable part
+    (language-preserving), symbols in 0/1 order: by symbol if the alphabet
+    is {0, 1}, else by position.
     """
     if len(a.alphabet) != 2:
         raise ValueError("canonical enumeration covers binary alphabets only")
-    canon = a if _is_canonical(a) else relabel_bfs(_as_binary(a))
-    s = len(canon.states)
-    position = {q: j for j, q in enumerate(canon.states)}
+    reading = BINARY if set(a.alphabet) == set(BINARY) else a.alphabet
+    states, table = (a.states, a.delta) if _is_canonical(a) else explore(reading, a.initial, lambda q, s: a.delta[q, s])
+    s = len(states)
+    position = {q: j for j, q in enumerate(states)}
     table_rank = 0
-    for q in canon.states:
-        for sym in canon.alphabet:
-            table_rank = table_rank * s + position[canon.delta[(q, sym)]]
-    mask = 0
-    for j, q in enumerate(canon.states):
-        if q in canon.accepting:
-            mask |= 1 << j
+    for q in states:
+        for sym in reading:
+            table_rank = table_rank * s + position[table[q, sym]]
+    mask = sum(1 << j for j, q in enumerate(states) if q in a.accepting)
     offset = sum(canonical_state_count_block(k) for k in range(1, s))
     return offset + (table_rank << s) + mask + 1
-
-
-def _as_binary(a: Dfa) -> Dfa:
-    """Rename a two-symbol alphabet to 0/1: by symbol if it is {0, 1}, else by position."""
-    if a.alphabet == BINARY:
-        return a
-    symbols = a.alphabet.symbols
-    rename = dict(zip(symbols, symbols if set(symbols) == set(BINARY) else BINARY.symbols))
-    delta = {(q, rename[s]): a.delta[(q, s)] for q in a.states for s in a.alphabet}
-    return Dfa(BINARY, a.states, delta, a.initial, a.accepting)
 
 
 # ---------------------------------------------------------------------------
 # step-simulable machines
 
 
-@dataclass
-class _MachineSim:
-    """Incremental single-machine simulation with halt memoization."""
+_MOVE = {"L": -1, "R": 1, "S": 0}
 
-    start_state: str
-    rules: dict[tuple[str, str], tuple[str, str, str]]  # (state, read) -> (write, move, next)
-    state: str = ""
-    head: int = 0
-    tape: dict[int, str] = field(default_factory=dict)
-    steps: int = 0
-    halted_at: int | None = None
 
-    def __post_init__(self) -> None:
-        self.state = self.start_state
-
-    def _has_move(self) -> bool:
-        return (self.state, self.tape.get(self.head, "_")) in self.rules
-
-    def _apply(self) -> None:
-        write, move, nxt = self.rules[(self.state, self.tape.get(self.head, "_"))]
-        self.tape[self.head] = write
-        self.head += {"L": -1, "R": 1, "S": 0}[move]
-        self.state = nxt
-
-    def advance(self, n: int) -> None:
-        """Simulate until halting or n steps, whichever first."""
-        while self.halted_at is None:
-            if not self._has_move():
-                self.halted_at = self.steps
-                return
-            if self.steps >= n:
-                return
-            self._apply()
-            self.steps += 1
+def _run(start: str, rules: dict[tuple[str, str], tuple[str, str, str]]) -> Iterator[None]:
+    """A machine's run on the empty tape, rules (state, read) -> (write, move, next): one yield per
+    step applied; it ends where no rule applies, so halting is the generator's exhaustion."""
+    state, head, tape = start, 0, {}
+    while (rule := rules.get((state, tape.get(head, "_")))) is not None:
+        tape[head], move, state = rule
+        head += _MOVE[move]
+        yield
 
 
 class MachineList:
     """A finite list of deterministic step-simulable machines on empty input.
 
-    Indices are 1-based; indices beyond the list are treated as machines
-    that never halt, which keeps every stage of the diagonal word total.
+    Each machine is a ``_run`` generator with its step count so far, advanced
+    only when a query asks about a step past that count, and then one step
+    past the query: a halted run answers every query, a running one every
+    query below its count, so queries may come in any order.  Indices are
+    1-based; indices beyond the list are treated as machines that never
+    halt, which keeps every stage of the diagonal word total.
     """
 
-    def __init__(self, machines: list[_MachineSim], names: list[str] | None = None):
-        self._machines = machines
-        self.names = names or [f"m{i}" for i in range(1, len(machines) + 1)]
+    def __init__(self, runs: list[Iterator[None]], names: list[str] | None = None):
+        self._runs = runs
+        self._steps = [0] * len(runs)
+        self._halted: set[int] = set()  # the runs that ended, each at its step count
+        self.names = names or [f"m{i}" for i in range(1, len(runs) + 1)]
 
     def __len__(self) -> int:
-        return len(self._machines)
+        return len(self._runs)
 
     def halts_within(self, k: int, n: int) -> bool:
         """Has machine k (1-based) halted after at most n step applications?"""
         if k < 1:
             raise IndexError("machine indices are 1-based")
-        if k > len(self._machines):
+        if k > len(self._runs):
             return False
-        sim = self._machines[k - 1]
-        sim.advance(n)
-        return sim.halted_at is not None and sim.halted_at <= n
+        i, steps, halted = k - 1, self._steps, self._halted
+        while i not in halted and steps[i] <= n:  # step n + 1, if any, shows the run did not halt at n
+            if next(self._runs[i], False) is False:
+                halted.add(i)
+            else:
+                steps[i] += 1
+        return i in halted and steps[i] <= n
 
     def alive_at(self, n: int) -> tuple[int, ...]:
         """Machine indices k <= n still running after n steps, ascending."""
         return tuple(k for k in range(1, n + 1) if not self.halts_within(k, n))
-
-
-_MOVE = {"L", "R", "S"}
 
 
 def parse_machines(text: str) -> MachineList:
@@ -381,7 +355,7 @@ def parse_machines(text: str) -> MachineList:
             groups[-1][2].append((line_no, key, tokens))
         else:
             raise FormatError(line_no, f"{key}: outside machine or malformed")
-    machines: list[_MachineSim] = []
+    runs: list[Iterator[None]] = []
     for header_line, name, lines in groups:
         sections = _sections(lines, ("start",), ("trans",))
         rules: dict[tuple[str, str], tuple[str, str, str]] = {}
@@ -399,8 +373,8 @@ def parse_machines(text: str) -> MachineList:
         line_no, start = sections["start"]
         if len(start) != 1:
             raise FormatError(line_no, "start: outside machine or malformed")
-        machines.append(_MachineSim(start[0], rules))
-    return MachineList(machines, [name for _line_no, name, _lines in groups])
+        runs.append(_run(start[0], rules))
+    return MachineList(runs, [name for _line_no, name, _lines in groups])
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +563,7 @@ class Theorem1Word(InfiniteWord):
         self._extend_to(stage.end)
         return stage
 
-    def stage(self, n: int) -> Stage:
-        return self.ensure_stage(n)
+    stage = ensure_stage
 
 
 def theorem1_word(machines: MachineList) -> Theorem1Word:

@@ -157,13 +157,7 @@ def _build_generator(args: argparse.Namespace) -> InfiniteWord | IndexedInfinite
 
 
 def _tracer(enabled: bool) -> Callable[[int, object], None] | None:
-    if not enabled:
-        return None
-
-    def on_step(position: int, state: object) -> None:
-        print(f"{position} {state}", file=sys.stderr)
-
-    return on_step
+    return partial(print, file=sys.stderr) if enabled else None
 
 
 def _report(outcome: Outcome) -> int:

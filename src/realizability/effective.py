@@ -21,7 +21,7 @@ Transition existence asks the image-language oracle about one flag product
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations
 from math import gcd
 from typing import Callable, NamedTuple
@@ -223,12 +223,13 @@ class AugmentedState(NamedTuple):
 def reduce_morphism_automaton(a: Dfa, phi: EffectiveMorphism) -> EffectiveAutomaton:
     """Effective automaton tracking ``a`` across whole morphism images.
 
-    ``delta(k, (q, _))`` runs ``a`` on the image of index k from q and sets
-    the bit when the visited states (endpoints included) meet the accepting
-    set.  ``exists_transition`` asks the morphism's image language oracle
-    about the flag product of ``a`` from the source state: pairs (state,
-    passed-accepting bit), starting at ``(q_i, q_i in F)`` and stepping
-    ``(q, b) -s-> (q', b or q' in F)``.  A transition to ``(q_j, bit)``
+    One flag rule serves both halves: pairs (state, passed-accepting bit)
+    start at ``(q_i, q_i in F)`` and step ``(q, b) -s-> (q', b or q' in F)``.
+    ``delta(k, (q, _))`` folds that step over the image of index k from q, so
+    the bit is set when the visited states (endpoints included) meet the
+    accepting set.  ``exists_transition`` asks the morphism's image language
+    oracle about the flag product of ``a`` from the source state, the pairs
+    that step reaches.  A transition to ``(q_j, bit)``
     exists iff some image is accepted by that product with ``{(q_j, bit)}``
     as its accepting set; a pair the product never reaches needs no oracle
     call.  Each product is built once per source state, and the oracle is
@@ -242,7 +243,7 @@ def reduce_morphism_automaton(a: Dfa, phi: EffectiveMorphism) -> EffectiveAutoma
     accepting_states = a.accepting
 
     def flag_step(qb: tuple[State, int], s: Symbol) -> tuple[State, int]:
-        q = a.delta[qb[0], s]
+        q = a.step(qb[0], s)
         return q, 1 if qb[1] or q in accepting_states else 0
 
     @cache
@@ -258,10 +259,7 @@ def reduce_morphism_automaton(a: Dfa, phi: EffectiveMorphism) -> EffectiveAutoma
         return reaches(p.base, (q.base, q.bit))
 
     def delta(k: int, p: AugmentedState) -> AugmentedState:
-        image = phi.image(k)
-        visited = a.visited(image, start=p.base)
-        bit = 1 if any(v in accepting_states for v in visited) else 0
-        return AugmentedState(visited[-1], bit)
+        return AugmentedState(*reduce(flag_step, phi.image(k), (p.base, 1 if p.base in accepting_states else 0)))
 
     states = tuple(AugmentedState(q, b) for q in a.states for b in (0, 1))
     accepting = frozenset(s for s in states if s.bit == 1)
@@ -275,6 +273,7 @@ def decide_prefix_morphism(
 
     Evidence positions count indexed symbols, not image symbols.
     """
+    fuel = Fuel.of(fuel) if fuel is not None else None  # a bad budget is reported before the reduction
     return decide_prefix_infinite(reduce_morphism_automaton(a, phi), w, fuel)
 
 
@@ -282,6 +281,7 @@ def decide_buchi_morphism(
     a: Dfa, phi: EffectiveMorphism, w: IndexedInfiniteWord, fuel: Fuel | int | None = None
 ) -> Outcome:
     """Are infinitely many prefixes of the image realized?  Variant + negation."""
+    fuel = Fuel.of(fuel) if fuel is not None else None  # a bad budget is reported before the reduction
     return decide_buchi_infinite(reduce_morphism_automaton(a, phi), w, fuel)
 
 

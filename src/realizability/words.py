@@ -35,11 +35,20 @@ class MorphismStallError(RuntimeError):
 
 
 class _Buffered:
-    """Shared memoizing machinery for infinite sequences; the one owner of its source's failure."""
+    """Shared memoizing machinery for infinite sequences, with their universality tag and
+    occurrence bound; the one owner of its source's failure."""
 
-    def __init__(self, source: Callable[[], Iterator] | None, index_fn: Callable[[int], object] | None):
+    def __init__(
+        self,
+        source: Callable[[], Iterator] | None = None,
+        index_fn: Callable[[int], object] | None = None,
+        universality: str = UNKNOWN,
+        occurrence_bound: Callable[[tuple], int] | None = None,
+    ):
         if (source is None) == (index_fn is None):
             raise ValueError("exactly one of source/index_fn is required")
+        self.universality = universality
+        self.occurrence_bound = occurrence_bound
         self._index_fn = index_fn
         self._buf: list = []
         self._iter = source() if source is not None else None
@@ -111,10 +120,8 @@ class InfiniteWord(_Buffered):
         universality: str = UNKNOWN,
         occurrence_bound: Callable[[Word], int] | None = None,
     ):
-        super().__init__(source, index_fn)
+        super().__init__(source, index_fn, universality, occurrence_bound)
         self.alphabet = alphabet
-        self.universality = universality
-        self.occurrence_bound = occurrence_bound
 
     def symbol_at(self, i: int) -> Symbol:
         return self._at(i)
@@ -131,17 +138,6 @@ class IndexedInfiniteWord(_Buffered):
 
     Symbols are positive integers (the indices).
     """
-
-    def __init__(
-        self,
-        source: Callable[[], Iterator[int]] | None = None,
-        index_fn: Callable[[int], int] | None = None,
-        universality: str = UNKNOWN,
-        occurrence_bound: Callable[[tuple[int, ...]], int] | None = None,
-    ):
-        super().__init__(source, index_fn)
-        self.universality = universality
-        self.occurrence_bound = occurrence_bound
 
     def symbol_index_at(self, i: int) -> int:
         return self._at(i)

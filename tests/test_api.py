@@ -235,10 +235,29 @@ def test_every_f_string_has_a_placeholder():
     assert bare == []
 
 
-def test_every_private_top_level_name_is_used():
-    # a helper that a simplification leaves without callers should go with it
+def _uses(nodes: list[ast.AST]) -> set[str]:
+    """Every name, attribute and imported name inside ``nodes``."""
+    uses: set[str] = set()
+    for node in (sub for top in nodes for sub in ast.walk(top)):
+        if isinstance(node, ast.Name):
+            uses.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            uses.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            uses.update(alias.name for alias in node.names)
+    return uses
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_definitions() -> tuple[list[tuple[str, str]], list[tuple[str, str]], set[str]]:
+    """The library's private top-level names and private methods, each as (label, name), and
+    every name some definition uses; a definition does not count as its own use."""
+    top: list[tuple[str, str]] = []
+    methods: list[tuple[str, str]] = []
     referenced: set[str] = set()
-    defined: list[tuple[str, str]] = []
     for path in sorted(Path(realizability.__file__).parent.glob("*.py")):
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
@@ -248,14 +267,27 @@ def test_every_private_top_level_name_is_used():
                 own = {t.id for t in targets if isinstance(t, ast.Name)}
             else:
                 own = set()
-            defined += [(path.name, name) for name in own if name.startswith("_") and not name.startswith("__")]
-            uses = set()
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    uses.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    uses.add(node.attr)
-                elif isinstance(node, ast.ImportFrom):
-                    uses.update(alias.name for alias in node.names)
-            referenced |= uses - own  # a definition does not count as its own use
-    assert sorted(f"{module} {name}" for module, name in defined if name not in referenced) == []
+            top += [(f"{path.name} {name}", name) for name in sorted(own) if _private(name)]
+            if not isinstance(stmt, ast.ClassDef):
+                referenced |= _uses([stmt]) - own
+                continue
+            defs = [node for node in stmt.body if isinstance(node, ast.FunctionDef)]
+            methods += [(f"{path.name} {stmt.name}.{m.name}", m.name) for m in defs if _private(m.name)]
+            rest = [node for node in stmt.body if node not in defs]
+            referenced |= _uses(rest + stmt.bases + stmt.decorator_list) - own
+            for m in defs:  # each method apart, so that its own body is no use of it
+                referenced |= _uses([m]) - own - {m.name}
+    return top, methods, referenced
+
+
+def test_every_private_top_level_name_is_used():
+    # a helper that a simplification leaves without callers should go with it
+    top, _methods, referenced = _private_definitions()
+    assert sorted(label for label, name in top if name not in referenced) == []
+
+
+def test_every_private_method_is_used():
+    # so should a private method, also one that outlived the class it was written for
+    _top, methods, referenced = _private_definitions()
+    assert methods  # Theorem1Word._generate, the word buffer's _pull, ...
+    assert sorted(label for label, name in methods if name not in referenced) == []

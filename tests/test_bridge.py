@@ -296,6 +296,11 @@ class TestRrPipeline:
         with pytest.raises(ValueError, match="^morphism target alphabet differs from automaton alphabet$"):
             prefix_via_rr(r, lang)  # over the filter alphabet alone: no separator
 
+    def test_prefix_via_rr_reports_a_bad_budget_before_the_reduction(self):
+        lang = FilterLanguage.from_dfa(regex_dfa("0+", BINARY))
+        r = literal_dfa("00", BINARY)  # no separator: the reduction would fail on the alphabets
+        assert failure(lambda: prefix_via_rr(r, lang, 0)) == (ValueError, "fuel must be positive")
+
     def test_prefix_via_rr_epsilon_accepting(self):
         lang = FilterLanguage.from_dfa(regex_dfa("0+", BINARY))
         ext = Alphabet(("0", "1", "#"))
@@ -364,6 +369,13 @@ class TestCanonicalEnumeration:
         assert back.accepts(("1",)) and not back.accepts(("0",))
         for w in words_upto(BINARY, 6):
             assert back.accepts(w) == contains1.accepts(w), w
+
+    def test_encode_builds_no_automaton(self, a_contains1, monkeypatch):
+        calls = []
+        validate = Dfa.__post_init__
+        monkeypatch.setattr(Dfa, "__post_init__", lambda a: calls.append(a) or validate(a))
+        encode_dfa(a_contains1)  # states s0 s1: not in canonical shape
+        assert calls == []  # neither a renamed nor a relabelled copy
 
     def test_encode_rejects_non_binary(self):
         abc = Alphabet(("a", "b", "c"))

@@ -38,6 +38,14 @@ reductions.  A fuel-free decider derives its bound only past a window of
 symbols; it is checked against the same decider given the derived bound,
 on outcomes and every ``on_step`` call, with the window at 1, 2 and its
 default, and every resolution must lie within that bound.
+
+Machine runs are generators advanced only as far as a query asks; seeded
+random machines are checked against a test-only simulation from scratch for
+every query, asked in shuffled order.  ``encode_dfa`` reads the index off one
+exploration; it is checked against a test-only copy of the path that renamed
+the symbols and relabelled a copy.  The reduction's step folds the flag rule
+over an image; it is checked against a copy of the rule that read the
+image's visited states.
 """
 
 from __future__ import annotations
@@ -58,7 +66,9 @@ import realizability.decide as decide_module  # noqa: E402
 import realizability.effective as effective_module  # noqa: E402
 from helpers import ABC, BINARY, random_dfa, random_nfa  # noqa: E402
 from realizability import (  # noqa: E402
+    Alphabet,
     AlphabetMismatchError,
+    AugmentedState,
     DefinitiveCertificate,
     Dfa,
     EffectiveAutomaton,
@@ -689,3 +699,128 @@ def test_fuel_free_deciders_against_the_derived_bound(alphabet, window, monkeypa
             assert isinstance(free[0], Verdict) and free[0].evidence <= bound.max_steps
             crossed += free[0].evidence > window
     assert crossed or window == DEFAULT_WINDOW
+
+
+def random_machines_text(rng: random.Random) -> tuple[str, list]:
+    """One to four machines on states s0..s3, tape symbols ``_ x`` and moves ``L R S``; each
+    (state, read) rule is present with probability 0.8, so some machines halt and some loop.
+    Returns the machine file and each machine's (start, rules) for the reference."""
+    text, specs = "", []
+    for m in range(rng.randint(1, 4)):
+        states = [f"s{i}" for i in range(rng.randint(2, 4))]
+        rules = {
+            (q, read): (rng.choice("_x"), rng.choice("LRS"), rng.choice(states))
+            for q in states
+            for read in "_x"
+            if rng.random() < 0.8
+        }
+        text += f"machine: m{m}\nstart: s0\n" + "".join(
+            f"trans: {q} {read} {write} {move} {nxt}\n" for (q, read), (write, move, nxt) in rules.items()
+        )
+        specs.append(("s0", rules))
+    return text, specs
+
+
+def halts_from_scratch(spec, n: int) -> bool:
+    """Does the machine reach a (state, read) pair without a rule within n steps, simulated afresh?"""
+    state, rules = spec
+    head, tape = 0, {}
+    for _ in range(n):
+        if (state, tape.get(head, "_")) not in rules:
+            return True
+        tape[head], move, state = rules[state, tape.get(head, "_")]
+        head += {"L": -1, "R": 1, "S": 0}[move]
+    return (state, tape.get(head, "_")) not in rules
+
+
+def test_machine_runs_against_a_simulation_from_scratch():
+    rng = random.Random(917)
+    seen = set()
+    for _ in range(60):
+        text, specs = random_machines_text(rng)
+
+        def halts(k: int, n: int) -> bool:  # machines past the list never halt
+            return k <= len(specs) and halts_from_scratch(specs[k - 1], n)
+
+        machines = bridge.parse_machines(text)
+        queries = [(k, n) for k in range(1, len(specs) + 2) for n in range(81)]
+        rng.shuffle(queries)
+        for k, n in queries:
+            assert machines.halts_within(k, n) == halts(k, n), (text, k, n)
+            seen.add((halts(k, n), n > 0))
+        fresh = bridge.parse_machines(text)
+        for n in rng.sample(range(81), 81):
+            assert fresh.alive_at(n) == tuple(k for k in range(1, n + 1) if not halts(k, n)), (text, n)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def encode_by_relabelled_copy(a: Dfa) -> int:
+    """Canonical index as read off a renamed, then breadth-first relabelled copy of ``a``."""
+    canon = a
+    if not bridge._is_canonical(a):
+        symbols = a.alphabet.symbols
+        rename = dict(zip(symbols, symbols if set(symbols) == set(BINARY) else BINARY.symbols))
+        delta = {(q, rename[s]): a.delta[q, s] for q in a.states for s in a.alphabet}
+        canon = relabel_bfs(Dfa(BINARY, a.states, delta, a.initial, a.accepting))
+    s = len(canon.states)
+    position = {q: j for j, q in enumerate(canon.states)}
+    table_rank = 0
+    for q in canon.states:
+        for sym in BINARY:
+            table_rank = table_rank * s + position[canon.delta[q, sym]]
+    mask = sum(1 << j for j, q in enumerate(canon.states) if q in canon.accepting)
+    return sum(bridge.canonical_state_count_block(k) for k in range(1, s)) + (table_rank << s) + mask + 1
+
+
+@pytest.mark.parametrize("symbols", ["01", "10", "ab", "ba"])
+def test_encode_dfa_against_the_relabelled_copy(symbols):
+    rng = random.Random(918)
+    alphabet = Alphabet(tuple(symbols))
+    pool = ["q1", "q2", "q3", "q4", "p", "zz", "7", "q0"]
+    shapes = set()
+    for _ in range(DRAWS):
+        drawn = random_dfa(rng, max_states=4, alphabet=alphabet)
+        # a name pool in order, seven times in ten shuffled: q1 q2 ... with s0 initial is canonical
+        rename = dict(zip(drawn.states, rng.sample(pool, len(drawn.states)) if rng.random() < 0.7 else pool))
+        a = Dfa(
+            alphabet,
+            tuple(rename[q] for q in drawn.states),
+            {(rename[q], s): rename[r] for (q, s), r in drawn.delta.items()},
+            rename[drawn.initial],
+            frozenset(rename[q] for q in drawn.accepting),
+        )
+        assert bridge.encode_dfa(a) == encode_by_relabelled_copy(a), a
+        shapes.add((bridge._is_canonical(a), len(reachable_states(a)) < len(a.states)))
+    assert shapes >= {(False, True), (False, False)}
+    assert symbols != "01" or (True, False) in shapes
+
+
+def visited_rule(a: Dfa, phi: EffectiveMorphism, k: int, p: AugmentedState) -> AugmentedState:
+    """The reduction's step as the visited states of the image's run, endpoints included."""
+    visited = a.visited(phi.image(k), start=p.base)
+    return AugmentedState(visited[-1], 1 if any(v in a.accepting for v in visited) else 0)
+
+
+@pytest.mark.parametrize("kind", ["runs", "blocks", "periodic"])
+def test_reduction_step_against_the_visited_rule(kind):
+    rng = random.Random(919)
+    fixed = {"runs": zero_one_runs(), "blocks": zero_one_blocks()}
+    bits = set()
+    for _ in range(DRAWS // 4):
+        a = random_dfa(rng, max_states=4)
+        phi = fixed.get(kind) or EffectiveMorphism.index_periodic(inputs.random_periodic(rng)[1], BINARY)
+        ea = reduce_morphism_automaton(a, phi)
+        for k in range(1, 41):
+            for p in ea.states:
+                got, expected = ea.delta(k, p), visited_rule(a, phi, k, p)
+                assert repr(got) == repr(expected), (a, k, p)  # the bit is the int 0 or 1
+                bits.add(got.bit)
+    assert bits == {0, 1}
+
+
+def test_reduction_step_rejects_an_image_outside_the_alphabet():
+    a = random_dfa(random.Random(920), max_states=3)
+    phi = EffectiveMorphism(BINARY, lambda k: ("0", "2"), lambda r: True)
+    ea = reduce_morphism_automaton(a, phi)
+    with pytest.raises(AlphabetMismatchError):
+        ea.delta(1, ea.initial)

@@ -703,6 +703,14 @@ class TestReduceMorphism:
         with pytest.raises(ValueError):
             reduce_morphism_automaton(a_contains1, bare)
 
+    def test_morphism_deciders_report_a_bad_budget_before_the_reduction(self, a_contains1):
+        bare = EffectiveMorphism(BINARY, zero_one_runs().image)  # no image language oracle
+        foreign = EffectiveMorphism(Alphabet(("a", "b")), lambda k: ("a",) * k, lambda r: True)
+        for phi in (bare, foreign):
+            for decide in (decide_prefix_morphism, decide_buchi_morphism):
+                outcome = failure(lambda: decide(a_contains1, phi, universal_indexed_word(), 0))
+                assert outcome == (ValueError, "fuel must be positive"), (phi, decide.__name__)
+
     def test_decide_prefix_morphism_fixture(self, a_contains1):
         w = universal_indexed_word()
         # rounds one and two only produce runs of 0s; the first 1 in the
