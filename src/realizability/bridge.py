@@ -181,7 +181,7 @@ def prefix_via_rr(
     total; on No instances the run's first question, whether the initial
     state is a dead-lock, already answers.
     """
-    fuel = Fuel.of(fuel) if fuel is not None else None  # a bad budget is reported before the reduction
+    fuel = Fuel.of(fuel)
     separator = next((s for s in a.alphabet if s not in lang.alphabet), "#")
     phi, _image = filter_to_word(lang, separator)
     if w is None:

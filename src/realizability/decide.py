@@ -13,7 +13,8 @@ factor-universal word both resolutions arrive no later than the occurrence
 bound of a definitive word of the automaton that is stepped.  With
 ``fuel=None`` every decider is total: it reads the first ``_WINDOW`` symbols
 without a bound, and only a run that reads past them derives that bound and
-runs on to it.
+runs on to it.  ``Fuel.of`` holds the one budget rule, and every decider
+applies it first.
 
 ``decide_buchi`` answers whether infinitely many prefixes are in the
 language: it runs the prefix decider on the variant automaton whose
@@ -47,12 +48,18 @@ class Fuel:
     max_steps: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.max_steps, int) or isinstance(self.max_steps, bool):
+            raise TypeError(f"fuel must be an int, not {type(self.max_steps).__name__}")
         if self.max_steps <= 0:
             raise ValueError("fuel must be positive")
 
     @classmethod
-    def of(cls, fuel: "Fuel | int") -> "Fuel":
-        return fuel if isinstance(fuel, Fuel) else cls(fuel)
+    def of(cls, fuel: "Fuel | int | None") -> "Fuel | None":
+        """The budget a decider runs with: ``None`` (derive the occurrence
+        bound), a ``Fuel`` as it is, or an int checked by ``Fuel``.  Every
+        decider calls this first, so a bad budget is reported before an
+        alphabet mismatch and before any closure, reduction or variant."""
+        return fuel if fuel is None or isinstance(fuel, Fuel) else cls(fuel)
 
 
 @dataclass(frozen=True)
@@ -84,14 +91,6 @@ def _check_same_alphabet(a: Dfa, w: InfiniteWord) -> None:
         raise AlphabetMismatchError(
             f"automaton alphabet {a.alphabet.symbols} differs from word alphabet {w.alphabet.symbols}"
         )
-
-
-def _checked_fuel(a: Dfa, w: InfiniteWord, fuel: Fuel | int | None) -> Fuel | None:
-    """The explicit budget or None; a bad budget is reported first, then a
-    mismatch, both before any work on the automaton."""
-    explicit = Fuel.of(fuel) if fuel is not None else None
-    _check_same_alphabet(a, w)
-    return explicit
 
 
 def _occurrence_fuel(w: InfiniteWord | IndexedInfiniteWord, word: tuple) -> Fuel:
@@ -209,13 +208,8 @@ def decide_prefix(
     ``on_step(position, state)`` is called for position 0 (initial state)
     and after every symbol read, before the verdict checks.
     """
-    return _decide_prefix(a, w, _checked_fuel(a, w, fuel), on_step)
-
-
-def _decide_prefix(
-    a: Dfa, w: InfiniteWord, fuel: Fuel | None, on_step: Callable[[int, object], None] | None
-) -> Outcome:
-    """``decide_prefix`` once its fuel and alphabets are checked."""
+    fuel = Fuel.of(fuel)
+    _check_same_alphabet(a, w)
     is_dead = _dead_on_demand(a)
     symbols = _stretch(w, fuel, lambda: _definitive_word(a, is_dead))
     return _resolve(a.step, a.initial, symbols, a.accepting, is_dead, on_step)
@@ -241,8 +235,9 @@ def decide_buchi(
     Both events are exactly the resolutions of the prefix decider on the
     dead-lock-accepting variant, so its answer is negated; ``fuel=None`` is the variant's bound.
     """
-    fuel = _checked_fuel(a, w, fuel)  # before the variant is built
-    return _negated(_decide_prefix(deadlock_accepting_variant(a), w, fuel, on_step))
+    fuel = Fuel.of(fuel)
+    _check_same_alphabet(a, w)
+    return _negated(decide_prefix(deadlock_accepting_variant(a), w, fuel, on_step))
 
 
 def brute_force_prefix_check(a: Dfa, w: InfiniteWord, upto: int) -> int | None:

@@ -137,9 +137,9 @@ def decide_prefix_infinite(
     that ``fuel=None`` shares: that budget is ``derived_fuel(ea, w)``, derived
     only for a run that outlives the first ``_WINDOW`` symbols.
     """
-    explicit = Fuel.of(fuel) if fuel is not None else None  # a bad budget is reported first
+    fuel = Fuel.of(fuel)
     is_dead = _dead_lock_status(ea)
-    symbols = _stretch(w, explicit, lambda: _index_sequence(ea, is_dead))
+    symbols = _stretch(w, fuel, lambda: _index_sequence(ea, is_dead))
     return _resolve(lambda q, k: ea.delta(k, q), ea.initial, symbols, ea.accepting, is_dead, on_step)
 
 
@@ -150,7 +150,7 @@ def decide_buchi_infinite(
     on_step: Callable[[int, State], None] | None = None,
 ) -> Outcome:
     """Infinitely many accepted prefixes?  Dead-lock-accepting variant (and its fuel), negated."""
-    fuel = Fuel.of(fuel) if fuel is not None else None  # a bad budget is reported before the closure
+    fuel = Fuel.of(fuel)
     variant = ea.with_accepting(effective_dead_locks(ea))
     return _negated(decide_prefix_infinite(variant, w, fuel, on_step))
 
@@ -238,7 +238,7 @@ def reduce_morphism_automaton(a: Dfa, phi: EffectiveMorphism) -> EffectiveAutoma
     if phi.image_language_oracle is None:
         raise ValueError("morphism carries no image language oracle")
     if phi.alphabet != a.alphabet:
-        raise ValueError("morphism target alphabet differs from automaton alphabet")
+        raise AlphabetMismatchError("morphism target alphabet differs from automaton alphabet")
     oracle = phi.image_language_oracle
     accepting_states = a.accepting
 
@@ -273,7 +273,7 @@ def decide_prefix_morphism(
 
     Evidence positions count indexed symbols, not image symbols.
     """
-    fuel = Fuel.of(fuel) if fuel is not None else None  # a bad budget is reported before the reduction
+    fuel = Fuel.of(fuel)
     return decide_prefix_infinite(reduce_morphism_automaton(a, phi), w, fuel)
 
 
@@ -281,7 +281,7 @@ def decide_buchi_morphism(
     a: Dfa, phi: EffectiveMorphism, w: IndexedInfiniteWord, fuel: Fuel | int | None = None
 ) -> Outcome:
     """Are infinitely many prefixes of the image realized?  Variant + negation."""
-    fuel = Fuel.of(fuel) if fuel is not None else None  # a bad budget is reported before the reduction
+    fuel = Fuel.of(fuel)
     return decide_buchi_infinite(reduce_morphism_automaton(a, phi), w, fuel)
 
 

@@ -186,6 +186,18 @@ def test_morphism_deciders_take_optional_fuel(name):
     assert [(p.name, p.default) for p in params[3:]] == [("fuel", None)]
 
 
+def test_every_fuel_parameter_defaults_to_none():
+    # fuel=None derives the budget, so a decider that misses the default is not total
+    defaults = {}
+    for name in EXPORTS:
+        obj = getattr(realizability, name)
+        params = inspect.signature(obj).parameters if inspect.isfunction(obj) else {}
+        if "fuel" in params:
+            defaults[name] = params["fuel"].default
+    assert "prefix_via_rr" in defaults
+    assert {name: d for name, d in defaults.items() if d is not None} == {}
+
+
 def test_no_module_imports_a_name_it_never_uses():
     # __init__.py imports names in order to export them
     unused = []

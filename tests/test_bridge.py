@@ -293,7 +293,7 @@ class TestRrPipeline:
         lang = FilterLanguage.from_dfa(regex_dfa("0+", BINARY))
         r = literal_dfa("00", BINARY)
         assert prefix_via_rr(rr_to_prefix(r, "$"), lang) == prefix_via_rr(rr_to_prefix(r), lang) == Verdict("Yes", 2, 2)
-        with pytest.raises(ValueError, match="^morphism target alphabet differs from automaton alphabet$"):
+        with pytest.raises(AlphabetMismatchError, match="^morphism target alphabet differs from automaton alphabet$"):
             prefix_via_rr(r, lang)  # over the filter alphabet alone: no separator
 
     def test_prefix_via_rr_reports_a_bad_budget_before_the_reduction(self):

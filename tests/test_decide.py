@@ -57,7 +57,18 @@ class TestFuel:
 
     def test_of_accepts_ints_and_fuel(self):
         assert Fuel.of(5) == Fuel(5)
-        assert Fuel.of(Fuel(5)) == Fuel(5)
+        f = Fuel(5)
+        assert Fuel.of(f) is f
+        assert Fuel.of(None) is None  # derive the occurrence bound
+
+    def test_refuses_a_budget_that_is_not_an_int(self, a_contains1):
+        for bad, kind in ((2.5, "float"), ("3", "str"), (True, "bool")):
+            assert failure(lambda: Fuel(bad)) == (TypeError, f"fuel must be an int, not {kind}")
+        # refused before the alphabet mismatch, not late inside the run
+        assert failure(lambda: decide_prefix(a_contains1, champernowne(ABC), 2.5)) == (
+            TypeError,
+            "fuel must be an int, not float",
+        )
 
 
 class TestDecidePrefix:
