@@ -429,27 +429,16 @@ def split_blocks(w: Word) -> list[int]:
     return [len(zeros) for zeros in re.findall(r"1(0+)1", text)]
 
 
-class _BlockRows:
-    """``rows[q][m]``: the state a table reaches from q on ``Block(m).word``.
-
-    ``upto(top)`` extends each row from where its walk stopped, so stages that
-    share a table never rebuild the rows.
-    """
-
-    def __init__(self, table: list[tuple[int, int]]):
-        self.table = table
-        self.rows: list[list[int]] = [[] for _ in table]
-        self._past = [on1 for _, on1 in table]  # the state past 1 0^m, m = len(row)
-
-    def upto(self, top: int) -> list[list[int]]:
-        table, past = self.table, self._past
-        for q, row in enumerate(self.rows):
-            p = past[q]
-            for _ in range(len(row), top + 1):
-                row.append(table[p][1])
-                p = table[p][0]
-            past[q] = p
-        return self.rows
+def _block_rows(table: list[tuple[int, int]], top: int) -> list[list[int]]:
+    """``rows[q][m]``: the state the table reaches from q on ``Block(m).word``, m <= top."""
+    rows = []
+    for _, p in table:  # p: the state past 1 0^m, m = len(row)
+        row = []
+        for _ in range(top + 1):
+            row.append(table[p][1])
+            p = table[p][0]
+        rows.append(row)
+    return rows
 
 
 def _patch_ranks(table: list, accepting: frozenset, q: int, forbidden: frozenset[int]) -> tuple[int, ...]:
@@ -514,9 +503,7 @@ class Theorem1Word(InfiniteWord):
     """Diagonal word with per-stage records; fully determined by the machine list.
 
     The source yields one chunk per stage.  The word so far is kept as its
-    block ranks too: stage n replays about n^2/2 blocks, not n^3/6 symbols,
-    and only those since stage n - 1, on block rows it extends rather than
-    rebuilds, when both stages share a transition table.
+    block ranks too: stage n replays about n^2/2 blocks, not n^3/6 symbols.
     """
 
     def __init__(self, machines: MachineList):
@@ -527,23 +514,14 @@ class Theorem1Word(InfiniteWord):
     def _generate(self) -> Iterator[str]:
         ranks: list[int] = []
         top = emitted = 0  # the largest patch rank so far; machine ranks stay <= n
-        alive: tuple[int, ...] = ()
-        forbidden: frozenset[int] = frozenset()
-        block_rows, q, replayed = None, 0, 0
         for n in count(1):
-            # halting is monotone: only machines alive at n - 1, and n itself, can be alive at n
-            running = (*alive, n)
-            alive = tuple(k for k in running if not self.machines.halts_within(k, n))
-            if len(alive) < len(running):
-                forbidden = frozenset(range(1, n + 1)).difference(alive)
+            alive = self.machines.alive_at(n)
+            forbidden = frozenset(range(1, n + 1)).difference(alive)
             table, accepting = _decode_table(n)
             ranks.extend(alive)
-            if block_rows is None or table != block_rows.table:  # the run depends on the table only
-                block_rows, q, replayed = _BlockRows(table), 0, 0
-            rows = block_rows.upto(max(n, top))
-            for m in ranks[replayed:]:
+            rows, q = _block_rows(table, max(n, top)), 0
+            for m in ranks:
                 q = rows[q][m]
-            replayed = len(ranks)
             patch_ranks = _patch_ranks(table, accepting, q, forbidden)
             assert not (set(patch_ranks) & forbidden), "patch uses a forbidden block"
             stage_word = _blocks_text(alive + patch_ranks)

@@ -54,7 +54,7 @@ from realizability import (
 import realizability.bridge as bridge_module
 import realizability.decide as decide_module
 from realizability.automata import dead_lock_states, meets
-from realizability.bridge import Stage, _BlockRows, _blocks_text, _decode_table, _patch_ranks
+from realizability.bridge import Stage, _block_rows, _blocks_text, _decode_table, _patch_ranks
 
 
 class CountingDfa(Dfa):
@@ -634,17 +634,35 @@ def reference_stages(machines: MachineList, upto: int) -> tuple[list[Stage], lis
     return stages, words, tuple(prefix)
 
 
+def timed_machines_text(rng: random.Random) -> str:
+    """Zero to six machines, each halting after 0-40 steps (a chain of rules) or never (a rule that loops)."""
+    text = ""
+    for m in range(rng.randint(0, 6)):
+        halt = None if rng.random() < 0.25 else rng.randrange(41)
+        rules = ["s0 _ _ R s0"] if halt is None else [f"s{i} _ x R s{i + 1}" for i in range(halt)]
+        text += f"machine: m{m}\nstart: s0\n" + "".join(f"trans: {rule}\n" for rule in rules)
+    return text
+
+
+TIMED_RNG = random.Random(1601)  # lists of 0, 2, 3 and 4 machines; halts at 0, 8-31 steps and never
+TIMED_TEXTS = [timed_machines_text(TIMED_RNG) for _ in range(6)]
+
+
 class TestBlockReplay:
-    @pytest.mark.parametrize("text", [MACHINES_TEXT, HALTING_TEXT], ids=["gate", "halting"])
-    def test_stages_match_symbol_replay(self, text):
-        expected, words, prefix = reference_stages(parse_machines(text), 140)
+    @pytest.mark.parametrize(
+        ("text", "upto"),
+        [(MACHINES_TEXT, 140), (HALTING_TEXT, 140), *((text, 60) for text in TIMED_TEXTS)],
+        ids=["gate", "halting", *(f"timed{i}" for i in range(len(TIMED_TEXTS)))],
+    )
+    def test_stages_match_symbol_replay(self, text, upto):
+        expected, words, prefix = reference_stages(parse_machines(text), upto)
         w = theorem1_word(parse_machines(text))
-        stages = [w.stage(n) for n in range(1, 141)]
+        stages = [w.stage(n) for n in range(1, upto + 1)]
         assert stages == expected
         assert [(stage.machine_word, stage.patch_word) for stage in stages] == words
         assert w.prefix(len(prefix)) == prefix
 
-    # digests of the word through stage 150, recorded while every stage still rebuilt its block rows
+    # digests of the word through stage 150; every stage builds its block rows afresh, as when they were recorded
     @pytest.mark.parametrize(
         ("text", "end", "digest"),
         [
@@ -669,11 +687,10 @@ class TestBlockReplay:
         rng = random.Random(801)
         for _ in range(200):
             a = random_dfa(rng, max_states=5)
-            block_rows = _BlockRows(table_of(a)[0])
-            block_rows.upto(rng.randrange(-1, 16))  # a later, larger top extends the rows
-            rows = block_rows.upto(15)
+            top = rng.randrange(16)
+            rows = _block_rows(table_of(a)[0], top)
             for j, q in enumerate(a.states):
-                assert [a.states[p] for p in rows[j]] == [a.run(Block(m).word, q) for m in range(16)]
+                assert [a.states[p] for p in rows[j]] == [a.run(Block(m).word, q) for m in range(top + 1)]
 
     def test_patch_matches_product_search(self):
         rng = random.Random(802)

@@ -19,6 +19,7 @@ from realizability import (
     EffectiveMorphism,
     IndexedInfiniteWord,
     InfiniteWord,
+    MachineList,
     MorphismStallError,
     apply_morphism,
     as_word,
@@ -546,6 +547,8 @@ class FailingMachines:
         if n >= 3:
             raise ValueError("no simulation past step 2")
         return False
+
+    alive_at = MachineList.alive_at
 
 
 class TestSourceFailure:
