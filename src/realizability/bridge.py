@@ -70,7 +70,7 @@ BINARY = Alphabet(("0", "1"))
 # filter languages and the realizability correspondence
 
 
-@dataclass
+@dataclass(init=False)
 class FilterLanguage:
     """A language with decidable membership and a computable enumeration.
 
@@ -83,6 +83,9 @@ class FilterLanguage:
     membership: Callable[[Word], bool]
     enumeration: Callable[[int], Word]
     rr: Callable[[Automaton], bool] | None = None
+
+    def __init__(self, alphabet, membership, enumeration, rr=None):
+        vars(self).update(alphabet=alphabet, membership=membership, enumeration=enumeration, rr=rr)
 
     @classmethod
     def from_dfa(cls, d: Dfa) -> "FilterLanguage":
@@ -381,11 +384,15 @@ def parse_machines(text: str) -> MachineList:
 # blocks and the staged diagonal word
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Block:
     """The word 1 0^rank 1."""
 
     rank: int
+
+    def __init__(self, rank):
+        vars(self).update(rank=rank)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.rank < 0:
@@ -475,7 +482,7 @@ def _blocks_text(ranks: tuple[int, ...]) -> str:
     return "".join(["1" + "0" * k + "1" for k in ranks])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Stage:
     """Record of one generation stage of the diagonal word.
 
@@ -487,6 +494,9 @@ class Stage:
     alive: tuple[int, ...]  # machines still running after n steps
     patch_ranks: tuple[int, ...]  # blocks of the patch, in order
     end: int  # position of the stage's last symbol
+
+    def __init__(self, n, alive, patch_ranks, end):
+        vars(self).update(n=n, alive=alive, patch_ranks=patch_ranks, end=end)
 
     @property
     def machine_word(self) -> Word:

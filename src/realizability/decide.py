@@ -41,11 +41,15 @@ NO = "No"
 _WINDOW = 4096  # symbols a fuel-free run reads before it derives its occurrence bound
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Fuel:
     """Positive simulation budget, counted in symbols read."""
 
     max_steps: int
+
+    def __init__(self, max_steps):
+        vars(self).update(max_steps=max_steps)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not isinstance(self.max_steps, int) or isinstance(self.max_steps, bool):
@@ -62,7 +66,7 @@ class Fuel:
         return fuel if fuel is None or isinstance(fuel, Fuel) else cls(fuel)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Verdict:
     """Decision outcome with its evidence position.
 
@@ -75,12 +79,18 @@ class Verdict:
     evidence: int
     steps_used: int
 
+    def __init__(self, answer, evidence, steps_used):
+        vars(self).update(answer=answer, evidence=evidence, steps_used=steps_used)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class FuelExhausted:
     """The simulation consumed its budget without resolving."""
 
     steps_used: int
+
+    def __init__(self, steps_used):
+        vars(self).update(steps_used=steps_used)
 
 
 Outcome = Verdict | FuelExhausted

@@ -26,7 +26,7 @@ from .automata import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PassedAccepting:
     """Outcome of one start state: an accepting state was visited at this position.
 
@@ -35,30 +35,42 @@ class PassedAccepting:
 
     position: int
 
+    def __init__(self, position):
+        vars(self).update(position=position)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class EndedDeadLock:
     """Outcome of one start state: the run finished inside this dead-lock state."""
 
     state: State
 
+    def __init__(self, state):
+        vars(self).update(state=state)
+
 
 Outcome = PassedAccepting | EndedDeadLock
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DefinitiveCertificate:
     """A definitive word together with the per-start-state evidence."""
 
     word: Word
     outcomes: dict[State, Outcome]
 
+    def __init__(self, word, outcomes):
+        vars(self).update(word=word, outcomes=outcomes)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Refutation:
     """A start state whose run neither passes accepting nor ends dead-locked."""
 
     state: State
+
+    def __init__(self, state):
+        vars(self).update(state=state)
 
 
 def is_definitive(a: Dfa, w: Word | str) -> DefinitiveCertificate | Refutation:

@@ -47,13 +47,18 @@ from .textio import FormatError, _sections, _tokenized
 from .words import EffectiveMorphism, IndexedInfiniteWord
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EffectiveAutomaton:
     states: tuple[State, ...]
     delta: Callable[[int, State], State]
     exists_transition: Callable[[State, State], bool]
     initial: State
     accepting: frozenset[State]
+
+    def __init__(self, states, delta, exists_transition, initial, accepting):
+        vars(self).update(states=states, delta=delta, exists_transition=exists_transition, initial=initial,
+                          accepting=accepting)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         state_set = set(self.states)
@@ -289,7 +294,7 @@ def decide_buchi_morphism(
 # index sets and the textual fixture format
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IndexSet:
     """Eventually periodic set of positive indices.
 
@@ -301,6 +306,10 @@ class IndexSet:
     progressions: tuple[tuple[int, int], ...] = ()
     include: frozenset[int] = frozenset()
     exclude: frozenset[int] = frozenset()
+
+    def __init__(self, progressions=(), include=frozenset(), exclude=frozenset()):
+        vars(self).update(progressions=progressions, include=include, exclude=exclude)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for residue, modulus in self.progressions:

@@ -32,7 +32,7 @@ from .automata import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MullerAutomaton:
     """Deterministic transition structure plus a family of macrostates.
 
@@ -48,6 +48,11 @@ class MullerAutomaton:
     initial: State
     acceptance_family: frozenset[frozenset[State]]
     dfa: Dfa = field(init=False, repr=False, compare=False)
+
+    def __init__(self, alphabet, states, delta, initial, acceptance_family):
+        vars(self).update(alphabet=alphabet, states=states, delta=delta, initial=initial,
+                          acceptance_family=acceptance_family)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         state_set = set(self.states)

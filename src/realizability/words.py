@@ -143,7 +143,7 @@ class IndexedInfiniteWord(_Buffered):
         return self._at(i)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EffectiveMorphism:
     """A computable map from indexed symbols to words over a finite alphabet.
 
@@ -157,6 +157,9 @@ class EffectiveMorphism:
     alphabet: Alphabet
     image: Callable[[int], Word]
     image_language_oracle: Callable[[Automaton], bool] | None = None
+
+    def __init__(self, alphabet, image, image_language_oracle=None):
+        vars(self).update(alphabet=alphabet, image=image, image_language_oracle=image_language_oracle)
 
     @classmethod
     def index_periodic(cls, images: Iterable[Word | str], alphabet: Alphabet) -> "EffectiveMorphism":

@@ -8,6 +8,7 @@ layouts that ``bench/workloads.py`` uses directly.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import inspect
 import sys
 from pathlib import Path
@@ -168,6 +169,19 @@ def test_stage_record_fields():
     assert "".join(stage.machine_word) == "1011001"
     assert stage.patch_word == ()
 
+
+def test_every_record_writes_its_init_out_over_its_fields():
+    # a generated __init__ interns one throwaway name per field on every import
+    records = {obj for module in list(sys.modules.values()) if module.__name__.startswith("realizability")
+               for obj in vars(module).values() if dataclasses.is_dataclass(obj) and isinstance(obj, type)}
+    assert {cls.__name__ for cls in records} >= {"Alphabet", "Dfa", "Stage", "Verdict", "MullerAutomaton"}
+    for cls in records:
+        assert cls.__init__.__code__.co_filename == inspect.getfile(cls), cls
+        params = list(inspect.signature(cls).parameters.values())
+        fields = [f for f in dataclasses.fields(cls) if f.init]
+        assert [(p.name, p.default) for p in params] == [
+            (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default) for f in fields
+        ], cls
 
 
 @pytest.mark.parametrize(
